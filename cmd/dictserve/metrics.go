@@ -306,6 +306,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("pardict_scheduler_grain_sum", "Sum of per-phase chosen grains (divide by phases for the mean).", st.GrainSum)
 	counter("pardict_scheduler_queue_sum", "Sum of active-phase occupancy samples at submit.", st.QueueSum)
 	gauge("pardict_scheduler_queue_max", "Peak concurrently active phases.", st.QueueMax)
+	counter("pardict_prefilter_scanned_total", "Text positions examined by the shard bases' prefilter screen.", st.PrefilterScanned)
+	counter("pardict_prefilter_skipped_total", "Examined positions the screen let the cascade skip (survivor fraction = 1 - skipped/scanned).", st.PrefilterSkipped)
 }
 
 // currentVars points expvar at the most recently constructed server: expvar's

@@ -199,6 +199,7 @@ func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
 	tr.SetStatus(http.StatusOK)
 	tr.Finish()
 	out := s.collect(res, r.URL.Query().Get("mode"))
+	res.Release() // collect copied everything the response needs
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {
 		// Connection-level failure; nothing more to do.
@@ -301,6 +302,7 @@ func (s *server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 	out := scanBatchResponse{Results: make([]scanResponse, len(results))}
 	for i, res := range results {
 		out.Results[i] = s.collect(res, mode)
+		res.Release()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {

@@ -668,6 +668,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"pardict_slo_breaches_window", "pardict_slo_latency_seconds",
 		"pardict_slo_burn_rate", "pardict_trace_sample_every",
 		"pardict_trace_started_total", "pardict_trace_retained",
+		"pardict_prefilter_scanned_total", "pardict_prefilter_skipped_total",
 	} {
 		if typed[want] == "" {
 			t.Fatalf("series %s missing from scrape", want)
@@ -676,6 +677,10 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if !strings.Contains(body, `pardict_build_info{version=`) ||
 		!strings.Contains(body, `gomaxprocs="`+fmt.Sprint(runtime.GOMAXPROCS(0))+`"`) {
 		t.Fatalf("build info sample malformed:\n%s", body[:200])
+	}
+	// The scans above ran through screened shard bases.
+	if strings.Contains(body, "\npardict_prefilter_scanned_total 0\n") {
+		t.Fatal("prefilter scanned no position of the scans above")
 	}
 	if !strings.Contains(body, `pardict_slo_latency_seconds{quantile="0.999"}`) {
 		t.Fatal("SLO quantile series missing")

@@ -1,6 +1,8 @@
 package pardict
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -288,5 +290,133 @@ func TestRejectDuplicatesWitness(t *testing.T) {
 	}
 	if err := rejectDuplicates([][]int32{{1}, {2}, {1, 2}}); err != nil {
 		t.Fatalf("distinct patterns rejected: %v", err)
+	}
+}
+
+// shardedPinSet draws 256 distinct patterns of 4–13 letters.
+func shardedPinSet(rng *rand.Rand) [][]byte {
+	seen := map[string]bool{}
+	var patterns [][]byte
+	for len(patterns) < 256 {
+		p := make([]byte, 4+rng.Intn(10))
+		for i := range p {
+			p[i] = byte('a' + rng.Intn(26))
+		}
+		if !seen[string(p)] {
+			seen[string(p)] = true
+			patterns = append(patterns, p)
+		}
+	}
+	return patterns
+}
+
+// TestShardedMatchAllocs extends the Matcher zero-alloc pin to the sharded
+// path: a warmed, reconciled S=4 ShardedMatcher scan that is Released
+// allocates the same small number of times for a 4 KiB and a 64 KiB text —
+// per-shard and merge buffers all come from the slab pools, so nothing
+// allocated is proportional to n. What remains is per scan, not per byte:
+// one execution context per shard and one for the merge (S+1), one
+// goroutine per shard but the caller's (S-1), and the result header, the
+// context-builder closure and the profiler-label frame of MatchContext.
+func TestShardedMatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime defeats sync.Pool caching and allocates on its own; alloc counts are meaningless under -race")
+	}
+	const S = 4
+	const maxAllocs = 2*S + 8
+	rng := rand.New(rand.NewSource(41))
+	patterns := shardedPinSet(rng)
+	m, err := NewShardedMatcher(WithShards(S))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Reload(patterns); err != nil {
+		t.Fatal(err)
+	}
+	m.Reconcile()
+
+	var counts []float64
+	for _, n := range []int{4 << 10, 64 << 10} {
+		text := randTextWithPlants(rng, patterns, n, n/256)
+		scan := func() {
+			r, err := m.MatchContext(context.Background(), text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
+		}
+		for i := 0; i < 5; i++ { // warm the slab, result and ctx pools
+			scan()
+		}
+		avg := testing.AllocsPerRun(100, scan)
+		if avg > maxAllocs {
+			t.Fatalf("n=%d: warmed sharded scan allocates %.1f times; want ≤ %d", n, avg, maxAllocs)
+		}
+		counts = append(counts, avg)
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("allocations grow with the text: %.1f at 4 KiB, %.1f at 64 KiB", counts[0], counts[1])
+	}
+}
+
+// TestShardedPrefilterNeutrality: screening the shard bases is an
+// execution-layer change — the sharded scan's output and its counted Work
+// and Depth are byte-identical with the screen on, scalar and off, on the
+// same pattern set and text, both reconciled and with overlay adds and
+// pending deletes outstanding.
+func TestShardedPrefilterNeutrality(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	patterns := shardedPinSet(rng)
+	text := randTextWithPlants(rng, patterns, 8<<10, 64)
+	extra := shardedPinSet(rand.New(rand.NewSource(44)))[:8]
+
+	type scan struct {
+		stats Stats
+		lens  []int
+	}
+	run := func(mode PrefilterMode, dirty bool) scan {
+		m, err := NewShardedMatcher(WithShards(4), WithPrefilter(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if err := m.Reload(patterns); err != nil {
+			t.Fatal(err)
+		}
+		if dirty { // below the rebuild trigger: stays in the overlay
+			for _, p := range extra {
+				if _, err := m.Insert(p); err != nil && !errors.Is(err, ErrDuplicatePattern) {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range patterns[:8] {
+				if err := m.Delete(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r := m.Match(text)
+		defer r.Release()
+		out := scan{stats: r.Stats()}
+		for i := 0; i < r.Len(); i++ {
+			out.lens = append(out.lens, r.MatchLen(i))
+		}
+		return out
+	}
+	for _, dirty := range []bool{false, true} {
+		off := run(PrefilterOff, dirty)
+		for _, mode := range []PrefilterMode{PrefilterOn, PrefilterScalar} {
+			got := run(mode, dirty)
+			if got.stats.Work != off.stats.Work || got.stats.Depth != off.stats.Depth {
+				t.Fatalf("dirty=%v %v: work/depth %d/%d, off %d/%d", dirty, mode,
+					got.stats.Work, got.stats.Depth, off.stats.Work, off.stats.Depth)
+			}
+			for i := range off.lens {
+				if got.lens[i] != off.lens[i] {
+					t.Fatalf("dirty=%v %v: pos %d len %d, off %d", dirty, mode, i, got.lens[i], off.lens[i])
+				}
+			}
+		}
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"pardict/internal/naming"
 	"pardict/internal/pram"
@@ -336,7 +337,8 @@ func (d *Dict) indexPatterns(c *pram.Ctx) error {
 
 	// Longest-pattern-prefix per name via per-pattern left-to-right scans.
 	// Writers racing on a shared prefix write identical values (equal
-	// content ⇒ equal chain), the benign concurrent write of the CRCW model.
+	// content ⇒ equal chain), the benign concurrent write of the CRCW model;
+	// the stores are atomic so that Go's memory model agrees.
 	c.For(np, func(i int) {
 		carry := int32(-1)
 		row := d.pn[i]
@@ -345,7 +347,7 @@ func (d *Dict) indexPatterns(c *pram.Ctx) error {
 			if p := d.patOfName[name]; p >= 0 {
 				carry = p
 			}
-			d.lp[name] = carry
+			atomic.StoreInt32(&d.lp[name], carry)
 		}
 	})
 	c.AddWork(int64(d.totalSize()) - int64(np))

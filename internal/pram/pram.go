@@ -60,6 +60,9 @@ type Ctx struct {
 	// operation; nil (the default, and always when obs is disabled) makes
 	// labeling a single pointer-load no-op.
 	labelCtx atomic.Pointer[context.Context]
+	// levels, when set (SetLevelLabels), supplies labelCtx and its per-level
+	// refinements from a cache shared across executions.
+	levels *LevelLabels
 
 	// tr, when non-nil, is the sampled request trace this execution records
 	// phase spans into, set once by the engine wrappers (piggybacking on the
@@ -106,12 +109,53 @@ func (c *Ctx) SetLabelContext(lctx context.Context) {
 	c.labelCtx.Store(&lctx)
 }
 
+// LevelLabels is a pprof-labeled context with its per-cascade-level
+// refinements built once and then shared, for executions that are all
+// labeled alike (every scan of one long-lived matcher): LabelLevel then
+// relabels without allocating. Safe for concurrent use.
+type LevelLabels struct {
+	base   *context.Context
+	levels [64]atomic.Pointer[context.Context]
+}
+
+// NewLevelLabels returns the level cache over the labels of base.
+func NewLevelLabels(base context.Context) *LevelLabels {
+	return &LevelLabels{base: &base}
+}
+
+// at returns the base labels refined with level k.
+func (l *LevelLabels) at(k int) *context.Context {
+	if k >= 0 && k < len(l.levels) {
+		if p := l.levels[k].Load(); p != nil {
+			return p
+		}
+	}
+	lctx := pprof.WithLabels(*l.base, pprof.Labels("level", obs.LevelString(k)))
+	if k >= 0 && k < len(l.levels) {
+		l.levels[k].Store(&lctx) // racing builders store equal label sets
+	}
+	return &lctx
+}
+
+// SetLevelLabels is SetLabelContext with the labels of l, whose per-level
+// refinements LabelLevel then takes from l's cache instead of building.
+func (c *Ctx) SetLevelLabels(l *LevelLabels) {
+	c.levels = l
+	c.labelCtx.Store(l.base)
+}
+
 // LabelLevel refines the execution's pprof labels with the current cascade
 // level (the k of the paper's O(log m) shrink-and-spawn levels) so profiles
-// split engine time per level. It is a no-op unless SetLabelContext was
-// called (i.e. obs is enabled and the engine opted in); then it relabels the
-// calling goroutine and the phases submitted afterwards.
+// split engine time per level. It is a no-op unless SetLabelContext or
+// SetLevelLabels was called (i.e. obs is enabled and the engine opted in);
+// then it relabels the calling goroutine and the phases submitted afterwards.
 func (c *Ctx) LabelLevel(k int) {
+	if c.levels != nil {
+		lp := c.levels.at(k)
+		c.labelCtx.Store(lp)
+		pprof.SetGoroutineLabels(*lp)
+		return
+	}
 	lp := c.labelCtx.Load()
 	if lp == nil {
 		return

@@ -106,6 +106,7 @@ func GetCtx(pool *Pool) *Ctx {
 	c.work.Store(0)
 	c.depth.Store(0)
 	c.labelCtx.Store(nil)
+	c.levels = nil
 	c.tr = nil
 	return c
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/bits"
 	"sync"
 
 	"pardict/internal/core"
@@ -17,43 +18,118 @@ import (
 // refs/lens translation entirely — the base engine's Pat array IS the answer,
 // read through snapshot.baseLen. That is the steady state after reconcile, so
 // fully-reconciled shards pay zero overlay cost per scan.
+//
+// Every array is slab-pooled and lives only until the merge has read it.
 type shardHit struct {
-	sn    *snapshot
-	clean bool         // base-only snapshot: read h.base.Pat/sn.baseLen directly
-	refs  []int32      // nil when clean
-	lens  []int32      // nil when clean
-	base  *core.Result // retained for AllAt chain walks (nil when base empty)
+	active  bool        // the shard had patterns and was scanned
+	hasBase bool        // base was matched into base
+	clean   bool        // base-only snapshot: read base.Pat/sn.baseLen directly
+	base    core.Result // base engine output
+	refs    []int32     // nil when clean
+	lens    []int32     // nil when clean
+	hit     []uint64    // bit j set ⇔ a live pattern of this shard starts at j
+}
+
+// release returns the hit's arrays to the slab pools.
+func (h *shardHit) release() {
+	h.base.Release()
+	pram.ReleaseInt32(h.refs)
+	pram.ReleaseInt32(h.lens)
+	pram.ReleaseUint64(h.hit)
+	*h = shardHit{}
 }
 
 // lenRefAt returns the per-position longest live length and ref for either
 // representation.
-func (h *shardHit) lenRefAt(j int) (int32, int32) {
+func (h *shardHit) lenRefAt(sn *snapshot, j int) (int32, int32) {
 	if h.clean {
 		if p := h.base.Pat[j]; p >= 0 {
-			return h.sn.baseLen[p], p
+			return sn.baseLen[p], p
 		}
 		return 0, -1
 	}
 	return h.lens[j], h.refs[j]
 }
 
-// Result is the merged scatter-gather output for one text: per position the
-// longest live pattern across every shard, plus enough retained state to
-// expand all matches on demand.
+// Result is the merged scatter-gather output for one text, stored sparsely:
+// a bitmap of the positions where some live pattern starts, and one row per
+// such position holding the longest live length, its id, and every shard's
+// base chain head there (for AllAt). Its size is O(n/64 + matches·S), so an
+// unreleased Result costs little; Release recycles it entirely.
 type Result struct {
-	// Len[j] is the length of the longest live pattern matching at j (0 none).
-	Len []int32
-	// ID[j] is that pattern's stable id, or -1.
-	ID []int32
-	// ref[j]/shard[j] locate the winning entry for PatternAt.
-	ref   []int32
-	shard []int32
+	n      int
+	stride int         // row width: 2 + S
+	hit    []uint64    // bit j set ⇔ a live pattern starts at j
+	rank   []int32     // rank[w] = set bits in hit[:w]
+	rows   []int32     // per matched position: length, id, S chain heads
+	count  int         // matched positions
+	snaps  []*snapshot // pinned snapshot per shard
+	enc    []int32     // kept only while some snapshot has overlay adds (AllAt rescans them)
 
-	hits []shardHit
-	enc  []int32
+	// Scan scratch, live only inside MatchTraced.
+	hits   []shardHit
+	ctxs   []*pram.Ctx
+	wg     sync.WaitGroup
+	markFn func(lo, hi int)
+	fillFn func(lo, hi int)
 
 	Work  int64
 	Depth int64
+}
+
+var resultPool = sync.Pool{New: func() any { return newResult() }}
+
+// newResult builds a Result with its merge phase bodies bound once, so a
+// recycled Result runs its merge without allocating closures.
+func newResult() *Result {
+	r := &Result{}
+	r.markFn = r.mark
+	r.fillFn = r.fill
+	return r
+}
+
+// acquireResult returns a recycled Result sized for S shards and an n-symbol
+// text.
+func acquireResult(S, n int) *Result {
+	r := resultPool.Get().(*Result)
+	r.n, r.stride = n, 2+S
+	if cap(r.snaps) < S {
+		r.snaps = make([]*snapshot, S)
+		r.hits = make([]shardHit, S)
+		r.ctxs = make([]*pram.Ctx, S)
+	}
+	r.snaps, r.hits, r.ctxs = r.snaps[:S], r.hits[:S], r.ctxs[:S]
+	return r
+}
+
+// dropScratch releases the per-shard scan buffers once the merge has read
+// them, and the encoded text unless AllAt will need it for overlay adds.
+func (r *Result) dropScratch() {
+	for i := range r.hits {
+		r.hits[i].release()
+		r.ctxs[i] = nil
+	}
+	for _, sn := range r.snaps {
+		if len(sn.adds) > 0 {
+			return
+		}
+	}
+	pram.ReleaseInt32(r.enc)
+	r.enc = nil
+}
+
+// Release returns the Result's buffers, and the Result itself, to the pools.
+// The caller must not use r (or any slice read from it) afterwards.
+// Optional: an unreleased Result is ordinary garbage.
+func (r *Result) Release() {
+	pram.ReleaseUint64(r.hit)
+	pram.ReleaseInt32(r.rank)
+	pram.ReleaseInt32(r.rows)
+	pram.ReleaseInt32(r.enc)
+	r.hit, r.rank, r.rows, r.enc = nil, nil, nil, nil
+	clear(r.snaps)
+	r.count, r.Work, r.Depth = 0, 0, 0
+	resultPool.Put(r)
 }
 
 // Match scatter-gathers the text across every shard: each shard's snapshot is
@@ -62,6 +138,10 @@ type Result struct {
 // mk, and the per-position longest matches are merged. The returned context
 // is non-nil only when matching was canceled mid-flight (its Err/Cause carry
 // the cancellation); the Result is nil in that case.
+//
+// Match takes ownership of enc, which must come from pram.AcquireInt32 or be
+// garbage to the caller: it goes back to the slab pools as soon as no result
+// needs it.
 func (t *Set) Match(mk func() *pram.Ctx, enc []int32) (*Result, *pram.Ctx) {
 	return t.MatchTraced(mk, enc, nil)
 }
@@ -72,50 +152,54 @@ func (t *Set) Match(mk func() *pram.Ctx, enc []int32) (*Result, *pram.Ctx) {
 // trace viewer groups them under.
 func (t *Set) MatchTraced(mk func() *pram.Ctx, enc []int32, tr *trace.T) (*Result, *pram.Ctx) {
 	shards := *t.shards.Load()
-	n := len(enc)
+	r := acquireResult(len(shards), len(enc))
+	r.enc = enc
 
 	// Pin phase: grab every shard's snapshot on the caller's goroutine before
 	// any matching starts. This is the linearization point of the scan.
-	snaps := make([]*snapshot, len(shards))
 	for i, s := range shards {
-		snaps[i] = s.pin()
+		r.snaps[i] = s.pin()
 	}
-	defer func() {
-		for i := range shards {
-			shards[i].unpin(snaps[i])
-		}
-	}()
+	canceled := r.scatterGather(mk, tr)
+	unpinAll(shards, r.snaps)
+	r.dropScratch()
+	if canceled != nil {
+		r.Release()
+		return nil, canceled
+	}
+	return r, nil
+}
 
+// scatterGather runs the pinned scan and the merge, returning the context
+// that observed a cancellation (nil when the scan completed).
+func (r *Result) scatterGather(mk func() *pram.Ctx, tr *trace.T) *pram.Ctx {
 	// Scatter: one task per non-empty shard, each on its own Ctx so Work and
 	// Depth compose as Σ work / max depth, matching the paper's model for
-	// independent parallel subcomputations.
-	hits := make([]shardHit, len(shards))
-	ctxs := make([]*pram.Ctx, len(shards))
-	var wg sync.WaitGroup
-	for i := range shards {
-		sn := snaps[i]
+	// independent parallel subcomputations. The last task runs on the
+	// caller's goroutine, which would otherwise only wait.
+	last := -1
+	for i, sn := range r.snaps {
 		if (sn.base == nil || sn.base.PatternCount() == 0) && len(sn.adds) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, sn *snapshot) {
-			defer wg.Done()
-			sp := tr.StartSpan("shard", int64(i))
-			c := mk()
-			ctxs[i] = c
-			hits[i] = matchSnapshot(c, sn, enc, tr, i)
-			sp.End()
-		}(i, sn)
+		if last >= 0 {
+			r.wg.Add(1)
+			go r.scanShardAsync(last, mk, tr)
+		}
+		last = i
 	}
-	wg.Wait()
+	if last >= 0 {
+		r.scanShard(last, mk, tr)
+	}
+	r.wg.Wait()
 
 	var work, depth int64
-	for _, c := range ctxs {
+	for _, c := range r.ctxs {
 		if c == nil {
 			continue
 		}
 		if c.Canceled() {
-			return nil, c
+			return c
 		}
 		work += c.Work()
 		if d := c.Depth(); d > depth {
@@ -123,50 +207,158 @@ func (t *Set) MatchTraced(mk func() *pram.Ctx, enc []int32, tr *trace.T) (*Resul
 		}
 	}
 
-	// Gather: per-position S-way longest-match merge on its own context.
+	// Gather: per-position S-way longest-match merge on its own context,
+	// visiting only positions where some shard matched (see mark and fill).
+	n, S := r.n, len(r.snaps)
 	msp := tr.StartSpan("merge", int64(n))
+	defer msp.End()
 	mc := mk()
-	r := &Result{
-		Len:   make([]int32, n),
-		ID:    make([]int32, n),
-		ref:   make([]int32, n),
-		shard: make([]int32, n),
-		hits:  hits,
-		enc:   enc,
-	}
-	mc.ForChunk(n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			bestLen, bestRef, bestShard := int32(0), int32(-1), int32(-1)
-			for si := range hits {
-				h := &hits[si]
-				if h.sn == nil {
-					continue
-				}
-				if l, ref := h.lenRefAt(j); l > bestLen {
-					bestLen, bestRef, bestShard = l, ref, int32(si)
-				}
-			}
-			r.Len[j] = bestLen
-			r.ref[j] = bestRef
-			r.shard[j] = bestShard
-			if bestShard >= 0 {
-				r.ID[j] = entryAt(hits[bestShard].sn, bestRef).ID
-			} else {
-				r.ID[j] = -1
-			}
-		}
-	})
-	// The merge inspects S candidates per position; ForChunk charged n.
-	if len(hits) > 1 {
-		mc.AddWork(int64(n) * int64(len(hits)-1))
-	}
-	msp.End()
+	words := (n + 63) >> 6
+	r.hit = pram.AcquireUint64(words)
+	mc.ForChunk(words, r.markFn)
 	if mc.Canceled() {
-		return nil, mc
+		return mc // hit is partly unwritten; rank it no further
+	}
+	// The counted charge stays that of the dense merge — S candidates
+	// inspected at each of the n positions in one phase — of which ForChunk
+	// charged words. Like the prefilter's uncounted screen, skipping
+	// positions no shard matched changes wall clock, never Work or Depth.
+	if words > 0 {
+		mc.AddWork(int64(n)*int64(S) - int64(words))
+	}
+	r.rank = pram.AcquireInt32(words)
+	k := 0
+	for w, m := range r.hit {
+		r.rank[w] = int32(k)
+		k += bits.OnesCount64(m)
+	}
+	r.count = k
+	r.rows = pram.AcquireInt32(k * r.stride)
+	mc.ForChunkUncounted(words, r.fillFn)
+	if mc.Canceled() {
+		return mc
 	}
 	r.Work = work + mc.Work()
 	r.Depth = depth + mc.Depth()
-	return r, nil
+	return nil
+}
+
+func unpinAll(shards []*Shard, snaps []*snapshot) {
+	for i, s := range shards {
+		s.unpin(snaps[i])
+	}
+}
+
+func (r *Result) scanShardAsync(i int, mk func() *pram.Ctx, tr *trace.T) {
+	defer r.wg.Done()
+	r.scanShard(i, mk, tr)
+}
+
+func (r *Result) scanShard(i int, mk func() *pram.Ctx, tr *trace.T) {
+	sp := tr.StartSpan("shard", int64(i))
+	c := mk()
+	r.ctxs[i] = c
+	h := &r.hits[i]
+	matchSnapshot(c, r.snaps[i], r.enc, tr, i, h)
+	if !c.Canceled() {
+		h.markHits(r.n)
+	}
+	sp.End()
+}
+
+// mark ORs the shards' match bitmaps: hit[w]'s bit j is set where some
+// scanned shard has a live match.
+func (r *Result) mark(lo, hi int) {
+	for w := lo; w < hi; w++ {
+		var m uint64
+		for si := range r.hits {
+			if h := &r.hits[si]; h.active {
+				m |= h.hit[w]
+			}
+		}
+		r.hit[w] = m
+	}
+}
+
+// markHits builds h.hit from the shard's live lengths: base.Pat[j] ≥ 0 on a
+// clean hit, lens[j] > 0 otherwise. It runs on the shard's own task, while
+// its arrays are still in that core's cache.
+func (h *shardHit) markHits(n int) {
+	h.hit = pram.AcquireUint64((n + 63) >> 6)
+	for w := range h.hit {
+		j0 := w << 6
+		j1 := min(j0+64, n)
+		var m uint64
+		if h.clean {
+			for j, p := range h.base.Pat[j0:j1] {
+				if p >= 0 {
+					m |= 1 << (uint(j) & 63)
+				}
+			}
+		} else {
+			for j, l := range h.lens[j0:j1] {
+				if l > 0 {
+					m |= 1 << (uint(j) & 63)
+				}
+			}
+		}
+		h.hit[w] = m
+	}
+}
+
+// fill writes the row of every marked position: the longest live match
+// across shards, its id, and each shard's base chain head.
+func (r *Result) fill(lo, hi int) {
+	for w := lo; w < hi; w++ {
+		idx := int(r.rank[w])
+		for m := r.hit[w]; m != 0; m &= m - 1 {
+			j := w<<6 + bits.TrailingZeros64(m)
+			row := r.rows[idx*r.stride : (idx+1)*r.stride]
+			idx++
+			bestLen, bestRef, bestShard := int32(0), int32(-1), -1
+			for si := range r.hits {
+				h := &r.hits[si]
+				row[2+si] = -1
+				if !h.active {
+					continue
+				}
+				if h.hasBase {
+					row[2+si] = h.base.Pat[j]
+				}
+				if l, ref := h.lenRefAt(r.snaps[si], j); l > bestLen {
+					bestLen, bestRef, bestShard = l, ref, si
+				}
+			}
+			row[0] = bestLen
+			row[1] = entryAt(r.snaps[bestShard], bestRef).ID
+		}
+	}
+}
+
+// Len reports the text length the result covers.
+func (r *Result) Len() int { return r.n }
+
+// Count reports the number of positions with at least one live match.
+func (r *Result) Count() int { return r.count }
+
+// row returns the row of position j, or nil when no live pattern starts there.
+func (r *Result) row(j int) []int32 {
+	w, b := j>>6, uint(j&63)
+	m := r.hit[w]
+	if m&(1<<b) == 0 {
+		return nil
+	}
+	idx := int(r.rank[w]) + bits.OnesCount64(m&(1<<b-1))
+	return r.rows[idx*r.stride : (idx+1)*r.stride]
+}
+
+// LongestAt returns the length and id of the longest live pattern starting
+// at j, or (0, -1) when none does.
+func (r *Result) LongestAt(j int) (length, id int32) {
+	if row := r.row(j); row != nil {
+		return row[0], row[1]
+	}
+	return 0, -1
 }
 
 // entryAt resolves a ref (base index or encoded add index) to its Entry.
@@ -177,44 +369,45 @@ func entryAt(sn *snapshot, ref int32) Entry {
 	return sn.adds[-(ref + 2)]
 }
 
-// matchSnapshot matches the text against one immutable snapshot: the compiled
-// base engine (Θ(n·log m_shard) work, Theorem 1/3), a per-position
-// longest-live filter over the base result (deleted patterns skipped via the
-// NextShorter chain), and a brute overlay pass for pending inserts — bounded
-// by the reconciliation trigger, so the surcharge never exceeds a constant
-// fraction of the base cost in steady state.
-func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int) shardHit {
+// matchSnapshot matches the text against one immutable snapshot into h: the
+// compiled base engine (Θ(n·log m_shard) work, Theorem 1/3, screened by the
+// base's prefilter when one is installed), a per-position longest-live filter
+// over the base result (deleted patterns skipped via the NextShorter chain),
+// and a brute overlay pass for pending inserts — bounded by the
+// reconciliation trigger, so the surcharge never exceeds a constant fraction
+// of the base cost in steady state.
+func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int, h *shardHit) {
 	n := len(enc)
+	h.active = true
+	h.hasBase = sn.base != nil && sn.base.PatternCount() > 0
+	// A clean snapshot (no pending adds or deletes — the steady state after
+	// reconcile) needs no translation pass and no refs/lens arrays; the base
+	// result is served as-is at frozen-engine speed.
+	h.clean = h.hasBase && len(sn.adds) == 0 && len(sn.delBase) == 0
 
-	// Fast path: a clean snapshot (no pending adds or deletes — the steady
-	// state after reconcile) needs no translation pass and no refs/lens
-	// allocation; the base result is served as-is at frozen-engine speed.
-	if sn.base != nil && sn.base.PatternCount() > 0 && len(sn.adds) == 0 && len(sn.delBase) == 0 {
+	if h.hasBase {
 		bsp := tr.StartSpan("shard.base", int64(si))
-		h := shardHit{sn: sn, clean: true}
-		h.base = sn.base.Match(c, enc)
+		sn.base.MatchInto(c, enc, &h.base)
 		bsp.End()
-		return h
+		if h.clean || c.Canceled() {
+			return
+		}
 	}
 
-	h := shardHit{sn: sn, refs: make([]int32, n), lens: make([]int32, n)}
+	h.refs = pram.AcquireInt32(n)
+	h.lens = pram.AcquireInt32(n)
 	for j := range h.refs {
 		h.refs[j] = -1
+		h.lens[j] = 0
 	}
 
-	if sn.base != nil && sn.base.PatternCount() > 0 {
-		bsp := tr.StartSpan("shard.base", int64(si))
-		h.base = sn.base.Match(c, enc)
-		bsp.End()
-		if c.Canceled() {
-			return h
-		}
+	if h.hasBase {
 		if len(sn.delBase) == 0 {
 			c.ForChunk(n, func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					if p := h.base.Pat[j]; p >= 0 {
 						h.refs[j] = p
-						h.lens[j] = int32(len(sn.baseEnt[p].Enc))
+						h.lens[j] = sn.baseLen[p]
 					}
 				}
 			})
@@ -226,7 +419,7 @@ func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int) 
 					for p := h.base.Pat[j]; p >= 0; p = sn.base.NextShorter(p) {
 						if !sn.delBase[p] {
 							h.refs[j] = p
-							h.lens[j] = int32(len(sn.baseEnt[p].Enc))
+							h.lens[j] = sn.baseLen[p]
 							break
 						}
 					}
@@ -234,7 +427,7 @@ func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int) 
 			})
 		}
 		if c.Canceled() {
-			return h
+			return
 		}
 	}
 
@@ -267,7 +460,6 @@ func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int) 
 		}
 		osp.EndArg(int64(len(adds)))
 	}
-	return h
 }
 
 func symEqual(a, b []int32) bool {
@@ -288,22 +480,19 @@ type Hit struct {
 
 // AllAt appends to dst every live pattern matching at position j, longest
 // first (live patterns are distinct, so lengths strictly decrease), and
-// returns the extended slice. It walks each shard's retained base chain
-// (skipping pending deletions) plus the overlay adds.
+// returns the extended slice. It walks each shard's base chain from the head
+// the merge recorded (skipping pending deletions) plus the overlay adds.
 func (r *Result) AllAt(j int, dst []Hit) []Hit {
+	row := r.row(j)
+	if row == nil {
+		return dst // no live pattern starts at j
+	}
 	start := len(dst)
-	for si := range r.hits {
-		h := &r.hits[si]
-		if h.sn == nil {
-			continue
-		}
-		sn := h.sn
-		if h.base != nil {
-			for p := h.base.Pat[j]; p >= 0; p = sn.base.NextShorter(p) {
-				if !sn.delBase[p] {
-					e := sn.baseEnt[p]
-					dst = append(dst, Hit{ID: e.ID, Raw: e.Raw, Len: int32(len(e.Enc))})
-				}
+	for si, sn := range r.snaps {
+		for p := row[2+si]; p >= 0; p = sn.base.NextShorter(p) {
+			if !sn.delBase[p] {
+				e := sn.baseEnt[p]
+				dst = append(dst, Hit{ID: e.ID, Raw: e.Raw, Len: int32(len(e.Enc))})
 			}
 		}
 		for _, ai := range sn.addsDesc {

@@ -213,6 +213,8 @@ type Set struct {
 	minPendingBytes int
 	maxPendingOps   int
 
+	screen func(*core.Dict) // installs the prefilter on every compiled base (nil: none)
+
 	// Phase reconciliation (see phase.go). phaseMu is the epoch barrier:
 	// every mutation holds it for read across its whole critical section, so
 	// a phase transition or log capture (which take it for write) observes no
@@ -298,6 +300,21 @@ func (t *Set) freshShard(ents []Entry, base *core.Dict) *Shard {
 func (t *Set) SetRebuildThresholds(minBytes, maxOps int) {
 	t.minPendingBytes = minBytes
 	t.maxPendingOps = maxOps
+}
+
+// SetScreen makes every shard base compiled from now on run fn (typically
+// installing a prefilter) before it is published. Call it before the first
+// mutation; bases compiled earlier keep the screen they had.
+func (t *Set) SetScreen(fn func(*core.Dict)) { t.screen = fn }
+
+// compile is the one place shard bases are built: the Theorem 1–3
+// preprocessing of encs, then the set's screen.
+func (t *Set) compile(c *pram.Ctx, encs [][]int32) (*core.Dict, error) {
+	d, err := core.Preprocess(c, encs)
+	if err == nil && t.screen != nil {
+		t.screen(d)
+	}
+	return d, err
 }
 
 // SetGate installs fn to be called in the middle of every rebuild, while no
@@ -583,7 +600,7 @@ func (t *Set) rebuild(s *Shard) {
 		baseBytes += len(eff[i].Enc)
 	}
 	c := t.newCtx()
-	base, err := core.Preprocess(c, encs)
+	base, err := t.compile(c, encs)
 	if err != nil {
 		// Cannot happen for a log validated at write time; count and retreat
 		// (the old snapshot stays live and correct via its overlay).
@@ -711,7 +728,7 @@ func (t *Set) Replace(raws [][]byte, encs [][]int32) error {
 			for i := range ents {
 				pats[i] = ents[i].Enc
 			}
-			base, err := core.Preprocess(t.newCtx(), pats)
+			base, err := t.compile(t.newCtx(), pats)
 			if err != nil {
 				errs[si] = err
 				return

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pardict/internal/core"
 	"pardict/internal/pram"
 )
 
@@ -57,11 +58,12 @@ func checkMatch(t *testing.T, set *Set, text string, live []string) {
 	}
 	want := oracle(text, live)
 	for j := range want {
-		if int(r.Len[j]) != want[j] {
+		l, id := r.LongestAt(j)
+		if int(l) != want[j] {
 			t.Fatalf("text %q live %v: position %d: got len %d, want %d",
-				text, live, j, r.Len[j], want[j])
+				text, live, j, l, want[j])
 		}
-		if want[j] > 0 && r.ID[j] < 0 {
+		if want[j] > 0 && id < 0 {
 			t.Fatalf("position %d: match of len %d has no id", j, want[j])
 		}
 	}
@@ -375,5 +377,47 @@ func TestRandomizedVsOracle(t *testing.T) {
 			}
 			checkMatch(t, set, text(), ls)
 		}
+	}
+}
+
+// TestMergeChargesDense pins the sparse merge's accounting: whatever
+// positions it visits, a scan's counted Work is the shard bases' own match
+// Work plus the dense merge's n·S (S candidates at each of n positions), and
+// its Depth is the deepest base plus the merge's one phase — with and
+// without a screen on the bases.
+func TestMergeChargesDense(t *testing.T) {
+	for _, screened := range []bool{false, true} {
+		set := New(4, mk)
+		t.Cleanup(set.Close)
+		if screened {
+			set.SetScreen(func(d *core.Dict) { d.EnablePrefilterWide() })
+		}
+		insert(t, set, "he", "she", "his", "hers", "ushers", "is", "sh", "xyz")
+		set.Reconcile()
+		text := "ushers his hers xyz and she sells "
+		r, c := set.Match(mk, enc(text))
+		if c != nil {
+			t.Fatalf("match canceled: %v", c.Err())
+		}
+		n, S := int64(len(text)), int64(set.Shards())
+		wantWork, wantDepth := n*S, int64(0)
+		for _, s := range *set.shards.Load() {
+			sn := s.snap.Load()
+			if sn.base == nil || sn.base.PatternCount() == 0 {
+				continue
+			}
+			if sn.base.FilterWide() != screened {
+				t.Fatalf("screened=%v: shard base FilterWide = %v", screened, sn.base.FilterWide())
+			}
+			bc := mk()
+			sn.base.Match(bc, enc(text))
+			wantWork += bc.Work()
+			wantDepth = max(wantDepth, bc.Depth())
+		}
+		wantDepth++
+		if r.Work != wantWork || r.Depth != wantDepth {
+			t.Fatalf("screened=%v: work/depth %d/%d, want %d/%d", screened, r.Work, r.Depth, wantWork, wantDepth)
+		}
+		r.Release()
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 
 	"pardict/internal/alpha"
+	"pardict/internal/core"
 	"pardict/internal/obs"
 	"pardict/internal/pram"
 	"pardict/internal/shard"
@@ -58,6 +60,10 @@ type ShardedMatcher struct {
 	cfg *config
 	enc *alpha.Encoder
 	set *shard.Set
+	// labels is what pool workers helping a scan wear in CPU profiles
+	// (engine=sharded, op=match, level=k), built once and shared by every
+	// scan.
+	labels *pram.LevelLabels
 }
 
 // defaultShards picks the partition count: 2×GOMAXPROCS capped at 32.
@@ -76,8 +82,12 @@ func defaultShards() int {
 // set the partition count, WithAlphabet/WithParallelism/WithPool as on the
 // other matcher kinds. Patterns are loaded with Insert, Reload, or
 // ReloadSaved. Call Close when done to stop the background reconciler.
+//
+// Shard bases are screened by the wide prefilter unless WithPrefilter says
+// otherwise: a ShardedMatcher exposes no prefix lengths, so the screen costs
+// it nothing but the filter build.
 func NewShardedMatcher(opts ...Option) (*ShardedMatcher, error) {
-	cfg := buildConfig(opts)
+	cfg := buildConfig(append([]Option{WithPrefilter(PrefilterOn)}, opts...))
 	enc, err := cfg.encoder()
 	if err != nil {
 		return nil, err
@@ -86,7 +96,8 @@ func NewShardedMatcher(opts ...Option) (*ShardedMatcher, error) {
 	if nShards <= 0 {
 		nShards = defaultShards()
 	}
-	m := &ShardedMatcher{cfg: cfg, enc: enc}
+	m := &ShardedMatcher{cfg: cfg, enc: enc, labels: pram.NewLevelLabels(
+		pprof.WithLabels(context.Background(), pprof.Labels("engine", "sharded", "op", "match")))}
 	// Rebuild contexts carry the reconcile label so CPU profiles separate
 	// background compile cost from serving cost.
 	m.set = shard.New(nShards, func() *pram.Ctx {
@@ -94,6 +105,9 @@ func NewShardedMatcher(opts ...Option) (*ShardedMatcher, error) {
 		obs.Do(nil, ctx.SetLabelContext, "engine", "sharded", "op", "reconcile")
 		return ctx
 	})
+	if mode := cfg.prefilter; mode != PrefilterOff {
+		m.set.SetScreen(func(d *core.Dict) { screenDict(d, mode) })
+	}
 	if cfg.writePhase != WritePhaseJoined {
 		m.set.SetWritePhaseMode(int32(cfg.writePhase))
 	}
@@ -286,7 +300,10 @@ func (m *ShardedMatcher) SchedulerStats() SchedulerStats {
 
 // ShardedMatches is the per-position result of a sharded Match: the longest
 // live pattern per position, merged across shards, with aggregated PRAM cost
-// (Σ work over shard tasks and merge; max shard depth plus merge depth).
+// (Σ work over shard tasks and merge; max shard depth plus merge depth). It is
+// stored sparsely (a position bitmap plus one row per matched position) and
+// may be returned to the buffer pools with Release; an abandoned
+// ShardedMatches is ordinary garbage.
 type ShardedMatches struct {
 	r     *shard.Result
 	stats Stats
@@ -308,14 +325,16 @@ func (m *ShardedMatcher) Match(text []byte) *ShardedMatches {
 func (m *ShardedMatcher) MatchContext(gctx context.Context, text []byte) (*ShardedMatches, error) {
 	tr := trace.FromContext(gctx)
 	esp := tr.StartSpan("encode", int64(len(text)))
-	enc := m.enc.Encode(text)
+	enc := m.enc.EncodeInto(pram.AcquireInt32(len(text)), text)
 	esp.End()
 	var r *shard.Result
 	var canceled *pram.Ctx
-	obs.Do(gctx, func(lctx context.Context) {
+	obs.Do(gctx, func(context.Context) {
 		r, canceled = m.set.MatchTraced(func() *pram.Ctx {
 			ctx := m.cfg.newCtxFor(gctx)
-			ctx.SetLabelContext(lctx)
+			if obs.Enabled() {
+				ctx.SetLevelLabels(m.labels)
+			}
 			return ctx
 		}, enc, tr)
 	}, "engine", "sharded", "op", "match")
@@ -379,31 +398,24 @@ func (m *ShardedMatcher) MatchBatch(gctx context.Context, texts [][]byte) ([]*Sh
 }
 
 // Len reports the text length the matches cover.
-func (r *ShardedMatches) Len() int { return len(r.r.Len) }
+func (r *ShardedMatches) Len() int { return r.r.Len() }
 
 // Longest returns the id of the longest live pattern starting at position i,
 // and whether any pattern matches there.
 func (r *ShardedMatches) Longest(i int) (PatternID, bool) {
-	if r.r.Len[i] == 0 {
-		return 0, false
-	}
-	return PatternID(r.r.ID[i]), true
+	l, id := r.r.LongestAt(i)
+	return PatternID(id), l > 0
 }
 
 // MatchLen reports the length of the longest live pattern starting at
 // position i (0 when none).
-func (r *ShardedMatches) MatchLen(i int) int { return int(r.r.Len[i]) }
+func (r *ShardedMatches) MatchLen(i int) int {
+	l, _ := r.r.LongestAt(i)
+	return int(l)
+}
 
 // Count returns the number of positions with at least one match.
-func (r *ShardedMatches) Count() int {
-	n := 0
-	for _, l := range r.r.Len {
-		if l > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (r *ShardedMatches) Count() int { return r.r.Count() }
 
 // ShardedHit is one pattern occurrence reported by AllAt.
 type ShardedHit struct {
@@ -414,11 +426,22 @@ type ShardedHit struct {
 // AllAt appends to dst every live pattern starting at position i, longest
 // first, and returns the extended slice.
 func (r *ShardedMatches) AllAt(i int, dst []ShardedHit) []ShardedHit {
-	hits := r.r.AllAt(i, nil)
-	for _, h := range hits {
+	var buf [8]shard.Hit // stays on the stack: no allocation for up to 8 hits
+	for _, h := range r.r.AllAt(i, buf[:0]) {
 		dst = append(dst, ShardedHit{ID: PatternID(h.ID), Pattern: h.Raw})
 	}
 	return dst
+}
+
+// Release returns the ShardedMatches' pooled buffers for reuse by later
+// matches. The caller must not use r (or any value read from it, except
+// pattern bytes from AllAt, which the dictionary owns) afterwards; a second
+// Release is a no-op.
+func (r *ShardedMatches) Release() {
+	if r.r != nil {
+		r.r.Release()
+		r.r = nil
+	}
 }
 
 // Stats reports the aggregated instrumented cost of the Match call.

@@ -391,6 +391,171 @@ func TestShardedDifferential(t *testing.T) {
 	}
 }
 
+// TestShardedDifferentialScreened runs every prefilter mode under churn in
+// both write phases against the DynamicMatcher oracle. Automatic rebuilds are
+// off and Reconcile runs every few rounds, so scans see freshly compiled
+// (screened) bases, pending deletes that walk NextShorter from a screened
+// Pat[j], and overlay adds, in every mix. Each scan checks the longest
+// match per position, Count, and AllAt (dictserve's mode=all) against a
+// brute-force expansion of the live set.
+func TestShardedDifferentialScreened(t *testing.T) {
+	for _, pf := range []PrefilterMode{PrefilterOn, PrefilterScalar, PrefilterOff} {
+		for _, wp := range []WritePhase{WritePhaseJoined, WritePhaseSplit} {
+			for _, tc := range []struct {
+				name  string
+				sigma int
+				opts  []Option
+			}{
+				{"sigma2", 2, []Option{WithAlphabet([]byte("ab"))}},
+				{"sigma256", 3, nil},
+			} {
+				t.Run(fmt.Sprintf("%v/%v/%s", pf, wp, tc.name), func(t *testing.T) {
+					screenedDifferential(t, tc.sigma, tc.opts, append([]Option{
+						WithShards(4), WithPrefilter(pf), WithWritePhase(wp)}, tc.opts...))
+				})
+			}
+		}
+	}
+}
+
+func screenedDifferential(t *testing.T, sigma int, alphabet, opts []Option) {
+	m := newSharded(t, opts...)
+	m.set.SetRebuildThresholds(1<<30, 1<<30) // rebuild only on Reconcile
+	o := newDynOracle(t, alphabet...)
+	rng := rand.New(rand.NewSource(int64(sigma)*7 + 1))
+
+	live := map[string]bool{}
+	var initial [][]byte
+	for len(initial) < 40 {
+		p := randPattern(rng, sigma)
+		if !live[string(p)] {
+			live[string(p)] = true
+			initial = append(initial, p)
+		}
+	}
+	if err := m.Reload(initial); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range initial {
+		id, err := o.d.Insert(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.pats[id] = p
+	}
+
+	// base is the live set as of the last compile: with automatic rebuilds
+	// off, a base pattern no longer live is a pending delete and a live
+	// pattern outside base an overlay add.
+	base := map[string]bool{}
+	compiled := func() {
+		clear(base)
+		for p := range live {
+			base[p] = true
+		}
+	}
+	compiled()
+	sawDeletes, sawAdds := false, false
+	screened := m.cfg.prefilter != PrefilterOff
+	skipped0 := m.SchedulerStats().PrefilterSkipped
+	for round := 0; round < 30; round++ {
+		for k := 0; k < 6; k++ {
+			p := randPattern(rng, sigma)
+			if live[string(p)] {
+				if err := m.Delete(p); err != nil {
+					t.Fatalf("Delete(%q): %v", p, err)
+				}
+				if err := o.d.Delete(p); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, string(p))
+			} else {
+				if _, err := m.Insert(p); err != nil {
+					t.Fatalf("Insert(%q): %v", p, err)
+				}
+				id, err := o.d.Insert(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.pats[id] = p
+				live[string(p)] = true
+			}
+		}
+		m.Flush() // split-phase writes become visible; no-op when joined
+		if round%5 == 4 {
+			m.Reconcile()
+			compiled()
+		}
+		for p := range base {
+			sawDeletes = sawDeletes || !live[p]
+		}
+		for p := range live {
+			sawAdds = sawAdds || !base[p]
+		}
+		for trial := 0; trial < 3; trial++ {
+			// A quarter of the bytes lie outside the patterns' letters, so
+			// the screens have positions to reject.
+			text := randText(rng, sigma, 64+rng.Intn(192))
+			for i := range text {
+				if rng.Intn(4) == 0 {
+					text[i] = byte('a' + sigma + rng.Intn(6))
+				}
+			}
+			checkScreenedScan(t, m, o, live, text)
+		}
+	}
+	if skipped := m.SchedulerStats().PrefilterSkipped - skipped0; screened && skipped == 0 {
+		t.Fatal("screened shard bases skipped no position")
+	}
+	if !sawDeletes || !sawAdds {
+		t.Fatalf("churn never left pending deletes (%v) and overlay adds (%v) in a scanned snapshot",
+			sawDeletes, sawAdds)
+	}
+}
+
+// checkScreenedScan compares one sharded scan with the oracle: the longest
+// match per position, Count, and AllAt against a brute-force expansion of the
+// live set.
+func checkScreenedScan(t *testing.T, m *ShardedMatcher, o *dynOracle, live map[string]bool, text []byte) {
+	t.Helper()
+	sr := m.Match(text)
+	defer sr.Release()
+	dr := o.d.Match(text)
+	count := 0
+	var hits []ShardedHit
+	for i := 0; i < len(text); i++ {
+		want := 0
+		if id, ok := dr.Longest(i); ok {
+			want = len(o.pats[id])
+			count++
+		}
+		if got := sr.MatchLen(i); got != want {
+			t.Fatalf("text %q pos %d: sharded len %d, oracle len %d", text, i, got, want)
+		}
+		var all []string
+		for p := range live {
+			if bytes.HasPrefix(text[i:], []byte(p)) {
+				all = append(all, p)
+			}
+		}
+		hits = sr.AllAt(i, hits[:0])
+		if len(hits) != len(all) {
+			t.Fatalf("text %q pos %d: AllAt has %d hits, live set %d", text, i, len(hits), len(all))
+		}
+		for k, h := range hits {
+			if !live[string(h.Pattern)] || !bytes.HasPrefix(text[i:], h.Pattern) {
+				t.Fatalf("text %q pos %d: AllAt reports %q", text, i, h.Pattern)
+			}
+			if k > 0 && len(h.Pattern) >= len(hits[k-1].Pattern) {
+				t.Fatalf("text %q pos %d: AllAt not longest first", text, i)
+			}
+		}
+	}
+	if sr.Count() != count {
+		t.Fatalf("text %q: Count %d, oracle %d", text, sr.Count(), count)
+	}
+}
+
 // TestShardedChaosInvariants hammers the sharded matcher with fully
 // unsynchronized concurrent scans and mutations (the readers take no lock at
 // all), checking structural invariants on every result: a reported match must
