@@ -2,8 +2,9 @@ package pardict
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"math/rand"
+	"runtime/pprof"
 	"testing"
 
 	"pardict/internal/core"
@@ -360,63 +361,42 @@ func TestShardedMatchAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedPrefilterNeutrality: screening the shard bases is an
-// execution-layer change — the sharded scan's output and its counted Work
-// and Depth are byte-identical with the screen on, scalar and off, on the
-// same pattern set and text, both reconciled and with overlay adds and
-// pending deletes outstanding.
-func TestShardedPrefilterNeutrality(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	patterns := shardedPinSet(rng)
-	text := randTextWithPlants(rng, patterns, 8<<10, 64)
-	extra := shardedPinSet(rand.New(rand.NewSource(44)))[:8]
-
-	type scan struct {
-		stats Stats
-		lens  []int
+// TestShardedScanKeepsCallerLabels: the execution contexts of a sharded scan
+// carry the caller's own pprof labels, refined per cascade level, so they
+// reach every profile sample of the scan. Only an unlabeled caller's scan
+// takes the matcher's cached engine=sharded, op=match labels. Not parallel:
+// obs.SetEnabled is process-global.
+func TestShardedScanKeepsCallerLabels(t *testing.T) {
+	m := newSharded(t, WithShards(2))
+	defer pprof.SetGoroutineLabels(context.Background()) // LabelLevel relabels this goroutine
+	labelsOf := func(enabled bool, gctx context.Context) map[string]string {
+		prev := obs.SetEnabled(enabled)
+		defer obs.SetEnabled(prev)
+		got := map[string]string{}
+		obs.Do(gctx, func(lctx context.Context) {
+			c := m.scanCtx(gctx, lctx)
+			c.LabelLevel(3)
+			if lc := c.LabelContext(); lc != nil {
+				pprof.ForLabels(lc, func(k, v string) bool { got[k] = v; return true })
+			}
+		}, "engine", "sharded", "op", "match")
+		return got
 	}
-	run := func(mode PrefilterMode, dirty bool) scan {
-		m, err := NewShardedMatcher(WithShards(4), WithPrefilter(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		if err := m.Reload(patterns); err != nil {
-			t.Fatal(err)
-		}
-		if dirty { // below the rebuild trigger: stays in the overlay
-			for _, p := range extra {
-				if _, err := m.Insert(p); err != nil && !errors.Is(err, ErrDuplicatePattern) {
-					t.Fatal(err)
-				}
-			}
-			for _, p := range patterns[:8] {
-				if err := m.Delete(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		r := m.Match(text)
-		defer r.Release()
-		out := scan{stats: r.Stats()}
-		for i := 0; i < r.Len(); i++ {
-			out.lens = append(out.lens, r.MatchLen(i))
-		}
-		return out
-	}
-	for _, dirty := range []bool{false, true} {
-		off := run(PrefilterOff, dirty)
-		for _, mode := range []PrefilterMode{PrefilterOn, PrefilterScalar} {
-			got := run(mode, dirty)
-			if got.stats.Work != off.stats.Work || got.stats.Depth != off.stats.Depth {
-				t.Fatalf("dirty=%v %v: work/depth %d/%d, off %d/%d", dirty, mode,
-					got.stats.Work, got.stats.Depth, off.stats.Work, off.stats.Depth)
-			}
-			for i := range off.lens {
-				if got.lens[i] != off.lens[i] {
-					t.Fatalf("dirty=%v %v: pos %d len %d, off %d", dirty, mode, i, got.lens[i], off.lens[i])
-				}
-			}
+	caller := pprof.WithLabels(context.Background(), pprof.Labels("tenant", "t1"))
+	for _, tc := range []struct {
+		enabled bool
+		gctx    context.Context
+		want    map[string]string
+	}{
+		{true, caller, map[string]string{"tenant": "t1", "engine": "sharded", "op": "match", "level": "3"}},
+		{false, caller, map[string]string{"tenant": "t1", "level": "3"}},
+		{true, context.Background(), map[string]string{"engine": "sharded", "op": "match", "level": "3"}},
+		{false, context.Background(), map[string]string{}},
+	} {
+		got := labelsOf(tc.enabled, tc.gctx)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("obs enabled=%v, caller labels=%v: scan labels %v, want %v",
+				tc.enabled, obs.HasLabels(tc.gctx), got, tc.want)
 		}
 	}
 }

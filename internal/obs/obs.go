@@ -174,6 +174,15 @@ func Do(gctx context.Context, f func(context.Context), kv ...string) {
 	pprof.Do(gctx, pprof.Labels(kv...), f)
 }
 
+// HasLabels reports whether ctx carries any pprof labels (false for nil).
+func HasLabels(ctx context.Context) bool {
+	has := false
+	if ctx != nil {
+		pprof.ForLabels(ctx, func(string, string) bool { has = true; return false })
+	}
+	return has
+}
+
 // levelStrings caches the small label values the cascade engines use, so
 // per-level labeling does not allocate.
 var levelStrings = func() [64]string {

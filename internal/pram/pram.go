@@ -109,6 +109,15 @@ func (c *Ctx) SetLabelContext(lctx context.Context) {
 	c.labelCtx.Store(&lctx)
 }
 
+// LabelContext returns the labeled context pool workers helping this
+// execution currently apply, or nil when it is unlabeled.
+func (c *Ctx) LabelContext() context.Context {
+	if lp := c.labelCtx.Load(); lp != nil {
+		return *lp
+	}
+	return nil
+}
+
 // LevelLabels is a pprof-labeled context with its per-cascade-level
 // refinements built once and then shared, for executions that are all
 // labeled alike (every scan of one long-lived matcher): LabelLevel then

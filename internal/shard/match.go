@@ -19,7 +19,8 @@ import (
 // read through snapshot.baseLen. That is the steady state after reconcile, so
 // fully-reconciled shards pay zero overlay cost per scan.
 //
-// Every array is slab-pooled and lives only until the merge has read it.
+// Every array is slab-pooled. refs, lens and hit live until the merge has
+// read them; base lives with the Result, whose AllAt walks its Pat chains.
 type shardHit struct {
 	active  bool        // the shard had patterns and was scanned
 	hasBase bool        // base was matched into base
@@ -28,15 +29,6 @@ type shardHit struct {
 	refs    []int32     // nil when clean
 	lens    []int32     // nil when clean
 	hit     []uint64    // bit j set ⇔ a live pattern of this shard starts at j
-}
-
-// release returns the hit's arrays to the slab pools.
-func (h *shardHit) release() {
-	h.base.Release()
-	pram.ReleaseInt32(h.refs)
-	pram.ReleaseInt32(h.lens)
-	pram.ReleaseUint64(h.hit)
-	*h = shardHit{}
 }
 
 // lenRefAt returns the per-position longest live length and ref for either
@@ -51,27 +43,24 @@ func (h *shardHit) lenRefAt(sn *snapshot, j int) (int32, int32) {
 	return h.lens[j], h.refs[j]
 }
 
-// Result is the merged scatter-gather output for one text, stored sparsely:
-// a bitmap of the positions where some live pattern starts, and one row per
-// such position holding the longest live length, its id, and every shard's
-// base chain head there (for AllAt). Its size is O(n/64 + matches·S), so an
-// unreleased Result costs little; Release recycles it entirely.
+// Result is the merged scatter-gather output for one text: per position the
+// longest live pattern across every shard, plus enough retained state to
+// expand all matches on demand. Its arrays come from the slab pools, and
+// Release recycles them with the Result itself.
 type Result struct {
-	n      int
-	stride int         // row width: 2 + S
-	hit    []uint64    // bit j set ⇔ a live pattern starts at j
-	rank   []int32     // rank[w] = set bits in hit[:w]
-	rows   []int32     // per matched position: length, id, S chain heads
-	count  int         // matched positions
-	snaps  []*snapshot // pinned snapshot per shard
-	enc    []int32     // kept only while some snapshot has overlay adds (AllAt rescans them)
+	// Len[j] is the length of the longest live pattern matching at j (0 none).
+	Len []int32
+	// ID[j] is that pattern's stable id, or -1.
+	ID []int32
+
+	snaps []*snapshot // pinned snapshot per shard
+	hits  []shardHit  // per-shard output; base kept for AllAt
+	enc   []int32     // kept for AllAt's overlay rescan
 
 	// Scan scratch, live only inside MatchTraced.
-	hits   []shardHit
-	ctxs   []*pram.Ctx
-	wg     sync.WaitGroup
-	markFn func(lo, hi int)
-	fillFn func(lo, hi int)
+	ctxs    []*pram.Ctx
+	wg      sync.WaitGroup
+	mergeFn func(lo, hi int)
 
 	Work  int64
 	Depth int64
@@ -79,20 +68,17 @@ type Result struct {
 
 var resultPool = sync.Pool{New: func() any { return newResult() }}
 
-// newResult builds a Result with its merge phase bodies bound once, so a
-// recycled Result runs its merge without allocating closures.
+// newResult builds a Result with its merge phase body bound once, so a
+// recycled Result runs its merge without allocating a closure.
 func newResult() *Result {
 	r := &Result{}
-	r.markFn = r.mark
-	r.fillFn = r.fill
+	r.mergeFn = r.merge
 	return r
 }
 
-// acquireResult returns a recycled Result sized for S shards and an n-symbol
-// text.
-func acquireResult(S, n int) *Result {
+// acquireResult returns a recycled Result sized for S shards.
+func acquireResult(S int) *Result {
 	r := resultPool.Get().(*Result)
-	r.n, r.stride = n, 2+S
 	if cap(r.snaps) < S {
 		r.snaps = make([]*snapshot, S)
 		r.hits = make([]shardHit, S)
@@ -102,33 +88,33 @@ func acquireResult(S, n int) *Result {
 	return r
 }
 
-// dropScratch releases the per-shard scan buffers once the merge has read
-// them, and the encoded text unless AllAt will need it for overlay adds.
+// dropScratch releases what the merge alone needed: the per-shard refs,
+// lens and hit bitmaps, and the shard contexts.
 func (r *Result) dropScratch() {
 	for i := range r.hits {
-		r.hits[i].release()
+		h := &r.hits[i]
+		pram.ReleaseInt32(h.refs)
+		pram.ReleaseInt32(h.lens)
+		pram.ReleaseUint64(h.hit)
+		h.refs, h.lens, h.hit = nil, nil, nil
 		r.ctxs[i] = nil
 	}
-	for _, sn := range r.snaps {
-		if len(sn.adds) > 0 {
-			return
-		}
-	}
-	pram.ReleaseInt32(r.enc)
-	r.enc = nil
 }
 
 // Release returns the Result's buffers, and the Result itself, to the pools.
 // The caller must not use r (or any slice read from it) afterwards.
 // Optional: an unreleased Result is ordinary garbage.
 func (r *Result) Release() {
-	pram.ReleaseUint64(r.hit)
-	pram.ReleaseInt32(r.rank)
-	pram.ReleaseInt32(r.rows)
+	for i := range r.hits {
+		r.hits[i].base.Release()
+		r.hits[i] = shardHit{}
+	}
+	pram.ReleaseInt32(r.Len)
+	pram.ReleaseInt32(r.ID)
 	pram.ReleaseInt32(r.enc)
-	r.hit, r.rank, r.rows, r.enc = nil, nil, nil, nil
+	r.Len, r.ID, r.enc = nil, nil, nil
 	clear(r.snaps)
-	r.count, r.Work, r.Depth = 0, 0, 0
+	r.Work, r.Depth = 0, 0
 	resultPool.Put(r)
 }
 
@@ -140,8 +126,7 @@ func (r *Result) Release() {
 // the cancellation); the Result is nil in that case.
 //
 // Match takes ownership of enc, which must come from pram.AcquireInt32 or be
-// garbage to the caller: it goes back to the slab pools as soon as no result
-// needs it.
+// garbage to the caller: it goes back to the slab pools with the Result.
 func (t *Set) Match(mk func() *pram.Ctx, enc []int32) (*Result, *pram.Ctx) {
 	return t.MatchTraced(mk, enc, nil)
 }
@@ -152,7 +137,7 @@ func (t *Set) Match(mk func() *pram.Ctx, enc []int32) (*Result, *pram.Ctx) {
 // trace viewer groups them under.
 func (t *Set) MatchTraced(mk func() *pram.Ctx, enc []int32, tr *trace.T) (*Result, *pram.Ctx) {
 	shards := *t.shards.Load()
-	r := acquireResult(len(shards), len(enc))
+	r := acquireResult(len(shards))
 	r.enc = enc
 
 	// Pin phase: grab every shard's snapshot on the caller's goroutine before
@@ -208,33 +193,22 @@ func (r *Result) scatterGather(mk func() *pram.Ctx, tr *trace.T) *pram.Ctx {
 	}
 
 	// Gather: per-position S-way longest-match merge on its own context,
-	// visiting only positions where some shard matched (see mark and fill).
-	n, S := r.n, len(r.snaps)
+	// one chunk element per 64-position word (see merge).
+	n := len(r.enc)
 	msp := tr.StartSpan("merge", int64(n))
 	defer msp.End()
 	mc := mk()
+	r.Len = pram.AcquireInt32(n)
+	r.ID = pram.AcquireInt32(n)
 	words := (n + 63) >> 6
-	r.hit = pram.AcquireUint64(words)
-	mc.ForChunk(words, r.markFn)
-	if mc.Canceled() {
-		return mc // hit is partly unwritten; rank it no further
-	}
+	mc.ForChunk(words, r.mergeFn)
 	// The counted charge stays that of the dense merge — S candidates
 	// inspected at each of the n positions in one phase — of which ForChunk
 	// charged words. Like the prefilter's uncounted screen, skipping
 	// positions no shard matched changes wall clock, never Work or Depth.
 	if words > 0 {
-		mc.AddWork(int64(n)*int64(S) - int64(words))
+		mc.AddWork(int64(n)*int64(len(r.hits)) - int64(words))
 	}
-	r.rank = pram.AcquireInt32(words)
-	k := 0
-	for w, m := range r.hit {
-		r.rank[w] = int32(k)
-		k += bits.OnesCount64(m)
-	}
-	r.count = k
-	r.rows = pram.AcquireInt32(k * r.stride)
-	mc.ForChunkUncounted(words, r.fillFn)
 	if mc.Canceled() {
 		return mc
 	}
@@ -260,29 +234,16 @@ func (r *Result) scanShard(i int, mk func() *pram.Ctx, tr *trace.T) {
 	r.ctxs[i] = c
 	h := &r.hits[i]
 	matchSnapshot(c, r.snaps[i], r.enc, tr, i, h)
+	// Marking runs on the shard's own task, while its arrays are still in
+	// that core's cache.
 	if !c.Canceled() {
-		h.markHits(r.n)
+		h.markHits(len(r.enc))
 	}
 	sp.End()
 }
 
-// mark ORs the shards' match bitmaps: hit[w]'s bit j is set where some
-// scanned shard has a live match.
-func (r *Result) mark(lo, hi int) {
-	for w := lo; w < hi; w++ {
-		var m uint64
-		for si := range r.hits {
-			if h := &r.hits[si]; h.active {
-				m |= h.hit[w]
-			}
-		}
-		r.hit[w] = m
-	}
-}
-
 // markHits builds h.hit from the shard's live lengths: base.Pat[j] ≥ 0 on a
-// clean hit, lens[j] > 0 otherwise. It runs on the shard's own task, while
-// its arrays are still in that core's cache.
+// clean hit, lens[j] > 0 otherwise.
 func (h *shardHit) markHits(n int) {
 	h.hit = pram.AcquireUint64((n + 63) >> 6)
 	for w := range h.hit {
@@ -306,59 +267,41 @@ func (h *shardHit) markHits(n int) {
 	}
 }
 
-// fill writes the row of every marked position: the longest live match
-// across shards, its id, and each shard's base chain head.
-func (r *Result) fill(lo, hi int) {
+// merge writes Len and ID for the 64-position words lo..hi: it ORs the
+// shards' hit bitmaps, clears the word's positions, and takes the S-way
+// longest live match only at the positions some shard marked. On low-hit
+// text that is a few words per 64 positions instead of S candidates at each.
+func (r *Result) merge(lo, hi int) {
+	n := len(r.enc)
 	for w := lo; w < hi; w++ {
-		idx := int(r.rank[w])
-		for m := r.hit[w]; m != 0; m &= m - 1 {
-			j := w<<6 + bits.TrailingZeros64(m)
-			row := r.rows[idx*r.stride : (idx+1)*r.stride]
-			idx++
+		j0 := w << 6
+		j1 := min(j0+64, n)
+		var m uint64
+		for si := range r.hits {
+			if h := &r.hits[si]; h.active {
+				m |= h.hit[w]
+			}
+		}
+		clear(r.Len[j0:j1])
+		for j := j0; j < j1; j++ {
+			r.ID[j] = -1
+		}
+		for ; m != 0; m &= m - 1 {
+			j := j0 + bits.TrailingZeros64(m)
 			bestLen, bestRef, bestShard := int32(0), int32(-1), -1
 			for si := range r.hits {
 				h := &r.hits[si]
-				row[2+si] = -1
 				if !h.active {
 					continue
-				}
-				if h.hasBase {
-					row[2+si] = h.base.Pat[j]
 				}
 				if l, ref := h.lenRefAt(r.snaps[si], j); l > bestLen {
 					bestLen, bestRef, bestShard = l, ref, si
 				}
 			}
-			row[0] = bestLen
-			row[1] = entryAt(r.snaps[bestShard], bestRef).ID
+			r.Len[j] = bestLen
+			r.ID[j] = entryAt(r.snaps[bestShard], bestRef).ID
 		}
 	}
-}
-
-// Len reports the text length the result covers.
-func (r *Result) Len() int { return r.n }
-
-// Count reports the number of positions with at least one live match.
-func (r *Result) Count() int { return r.count }
-
-// row returns the row of position j, or nil when no live pattern starts there.
-func (r *Result) row(j int) []int32 {
-	w, b := j>>6, uint(j&63)
-	m := r.hit[w]
-	if m&(1<<b) == 0 {
-		return nil
-	}
-	idx := int(r.rank[w]) + bits.OnesCount64(m&(1<<b-1))
-	return r.rows[idx*r.stride : (idx+1)*r.stride]
-}
-
-// LongestAt returns the length and id of the longest live pattern starting
-// at j, or (0, -1) when none does.
-func (r *Result) LongestAt(j int) (length, id int32) {
-	if row := r.row(j); row != nil {
-		return row[0], row[1]
-	}
-	return 0, -1
 }
 
 // entryAt resolves a ref (base index or encoded add index) to its Entry.
@@ -480,19 +423,25 @@ type Hit struct {
 
 // AllAt appends to dst every live pattern matching at position j, longest
 // first (live patterns are distinct, so lengths strictly decrease), and
-// returns the extended slice. It walks each shard's base chain from the head
-// the merge recorded (skipping pending deletions) plus the overlay adds.
+// returns the extended slice. It walks each shard's retained base chain
+// (skipping pending deletions) plus the overlay adds.
 func (r *Result) AllAt(j int, dst []Hit) []Hit {
-	row := r.row(j)
-	if row == nil {
+	if r.Len[j] == 0 {
 		return dst // no live pattern starts at j
 	}
 	start := len(dst)
-	for si, sn := range r.snaps {
-		for p := row[2+si]; p >= 0; p = sn.base.NextShorter(p) {
-			if !sn.delBase[p] {
-				e := sn.baseEnt[p]
-				dst = append(dst, Hit{ID: e.ID, Raw: e.Raw, Len: int32(len(e.Enc))})
+	for si := range r.hits {
+		h := &r.hits[si]
+		if !h.active {
+			continue
+		}
+		sn := r.snaps[si]
+		if h.hasBase {
+			for p := h.base.Pat[j]; p >= 0; p = sn.base.NextShorter(p) {
+				if !sn.delBase[p] {
+					e := sn.baseEnt[p]
+					dst = append(dst, Hit{ID: e.ID, Raw: e.Raw, Len: int32(len(e.Enc))})
+				}
 			}
 		}
 		for _, ai := range sn.addsDesc {

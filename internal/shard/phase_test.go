@@ -270,8 +270,8 @@ func TestPhaseConcurrentStorm(t *testing.T) {
 					return
 				}
 				found := false
-				for j := 0; j < res.Len(); j++ {
-					if l, _ := res.LongestAt(j); l == int32(len("anchor")) {
+				for j := range res.Len {
+					if res.Len[j] == int32(len("anchor")) {
 						found = true
 					}
 				}

@@ -213,7 +213,7 @@ type Set struct {
 	minPendingBytes int
 	maxPendingOps   int
 
-	screen func(*core.Dict) // installs the prefilter on every compiled base (nil: none)
+	screen func(*core.Dict) // run on every compiled base: the wide prefilter (nil: none, tests only)
 
 	// Phase reconciliation (see phase.go). phaseMu is the epoch barrier:
 	// every mutation holds it for read across its whole critical section, so
@@ -258,6 +258,7 @@ func New(nShards int, newCtx func() *pram.Ctx) *Set {
 		quit:            make(chan struct{}),
 		minPendingBytes: defaultMinPendingBytes,
 		maxPendingOps:   defaultMaxPendingOps,
+		screen:          (*core.Dict).EnablePrefilterWide,
 	}
 	shards := make([]*Shard, nShards)
 	for i := range shards {
@@ -302,13 +303,15 @@ func (t *Set) SetRebuildThresholds(minBytes, maxOps int) {
 	t.maxPendingOps = maxOps
 }
 
-// SetScreen makes every shard base compiled from now on run fn (typically
-// installing a prefilter) before it is published. Call it before the first
-// mutation; bases compiled earlier keep the screen they had.
+// SetScreen replaces the wide prefilter every shard base compiled from now on
+// gets with fn; nil leaves bases unscreened (test hook: screened and
+// unscreened scans must agree in output, Work and Depth). Call it before the
+// first mutation; bases compiled earlier keep the screen they had.
 func (t *Set) SetScreen(fn func(*core.Dict)) { t.screen = fn }
 
 // compile is the one place shard bases are built: the Theorem 1–3
-// preprocessing of encs, then the set's screen.
+// preprocessing of encs, then the wide prefilter. Shard results expose no
+// prefix lengths, so the screen costs a base nothing but its build.
 func (t *Set) compile(c *pram.Ctx, encs [][]int32) (*core.Dict, error) {
 	d, err := core.Preprocess(c, encs)
 	if err == nil && t.screen != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"pardict/internal/core"
 	"pardict/internal/pram"
 )
 
@@ -58,12 +57,11 @@ func checkMatch(t *testing.T, set *Set, text string, live []string) {
 	}
 	want := oracle(text, live)
 	for j := range want {
-		l, id := r.LongestAt(j)
-		if int(l) != want[j] {
+		if int(r.Len[j]) != want[j] {
 			t.Fatalf("text %q live %v: position %d: got len %d, want %d",
-				text, live, j, l, want[j])
+				text, live, j, r.Len[j], want[j])
 		}
-		if want[j] > 0 && id < 0 {
+		if want[j] > 0 && r.ID[j] < 0 {
 			t.Fatalf("position %d: match of len %d has no id", j, want[j])
 		}
 	}
@@ -380,17 +378,16 @@ func TestRandomizedVsOracle(t *testing.T) {
 	}
 }
 
-// TestMergeChargesDense pins the sparse merge's accounting: whatever
-// positions it visits, a scan's counted Work is the shard bases' own match
-// Work plus the dense merge's n·S (S candidates at each of n positions), and
-// its Depth is the deepest base plus the merge's one phase — with and
-// without a screen on the bases.
+// TestMergeChargesDense pins a scan's accounting: its counted Work is the
+// shard bases' own match Work plus the merge's n·S (S candidates at each of
+// n positions), and its Depth is the deepest base plus the merge's one
+// phase — with and without the screen on the bases.
 func TestMergeChargesDense(t *testing.T) {
 	for _, screened := range []bool{false, true} {
 		set := New(4, mk)
 		t.Cleanup(set.Close)
-		if screened {
-			set.SetScreen(func(d *core.Dict) { d.EnablePrefilterWide() })
+		if !screened {
+			set.SetScreen(nil)
 		}
 		insert(t, set, "he", "she", "his", "hers", "ushers", "is", "sh", "xyz")
 		set.Reconcile()
@@ -419,5 +416,71 @@ func TestMergeChargesDense(t *testing.T) {
 			t.Fatalf("screened=%v: work/depth %d/%d, want %d/%d", screened, r.Work, r.Depth, wantWork, wantDepth)
 		}
 		r.Release()
+	}
+}
+
+// TestScreenNeutrality: the wide screen on the shard bases is an
+// execution-layer change. Scans of the same set and text agree with and
+// without it in every position's longest match and AllAt expansion, and in
+// counted Work and Depth, both reconciled and with overlay adds and pending
+// deletes outstanding.
+func TestScreenNeutrality(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var pats []string
+	seen := map[string]bool{}
+	for len(pats) < 200 {
+		b := make([]byte, 3+rng.Intn(8))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(6))
+		}
+		if !seen[string(b)] {
+			seen[string(b)] = true
+			pats = append(pats, string(b))
+		}
+	}
+	text := make([]byte, 4096)
+	for i := range text {
+		text[i] = byte('a' + rng.Intn(12)) // half the letters occur in no pattern
+	}
+
+	scan := func(screened, dirty bool) (*Result, []string) {
+		set := New(4, mk)
+		t.Cleanup(set.Close)
+		set.SetRebuildThresholds(1<<30, 1<<30) // rebuild only on Reconcile
+		if !screened {
+			set.SetScreen(nil)
+		}
+		insert(t, set, pats[:180]...)
+		set.Reconcile()
+		if dirty {
+			insert(t, set, pats[180:]...)
+			for _, p := range pats[:20] {
+				if err := set.Delete([]byte(p), enc(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r, c := set.Match(mk, enc(string(text)))
+		if c != nil {
+			t.Fatalf("match canceled: %v", c.Err())
+		}
+		var all []string
+		for j := range r.Len {
+			all = append(all, fmt.Sprint(r.Len[j], r.ID[j], len(r.AllAt(j, nil))))
+		}
+		return r, all
+	}
+	for _, dirty := range []bool{false, true} {
+		off, offAll := scan(false, dirty)
+		on, onAll := scan(true, dirty)
+		if on.Work != off.Work || on.Depth != off.Depth {
+			t.Fatalf("dirty=%v: screened work/depth %d/%d, unscreened %d/%d",
+				dirty, on.Work, on.Depth, off.Work, off.Depth)
+		}
+		for j := range offAll {
+			if onAll[j] != offAll[j] {
+				t.Fatalf("dirty=%v: position %d: screened %s, unscreened %s", dirty, j, onAll[j], offAll[j])
+			}
+		}
 	}
 }

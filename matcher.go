@@ -159,28 +159,21 @@ const autoPrefilterRate = 0.25
 // phases) and never changes Longest/All/FindAll output; it does withhold
 // PrefixLen (see Matcher.filtered).
 func (m *Matcher) applyPrefilter() {
-	m.filtered = m.general != nil && screenDict(m.general, m.cfg.prefilter)
-}
-
-// screenDict installs the prefilter mode's screen on a compiled general
-// engine and reports whether one stayed installed (Auto drops a screen whose
-// estimated pass rate is too high to pay for its scan).
-func screenDict(d *core.Dict, mode PrefilterMode) bool {
-	switch mode {
-	case PrefilterOff:
-		return false
-	case PrefilterScalar:
-		d.EnablePrefilter()
-	default:
-		d.EnablePrefilterWide()
+	if m.general == nil || m.cfg.prefilter == PrefilterOff {
+		return
 	}
-	if mode == PrefilterAuto {
-		if _, rate := d.Filtered(); rate > autoPrefilterRate {
-			d.DisablePrefilter()
-			return false
+	if m.cfg.prefilter == PrefilterScalar {
+		m.general.EnablePrefilter()
+	} else {
+		m.general.EnablePrefilterWide()
+	}
+	if m.cfg.prefilter == PrefilterAuto {
+		if _, rate := m.general.Filtered(); rate > autoPrefilterRate {
+			m.general.DisablePrefilter()
+			return
 		}
 	}
-	return true
+	m.filtered = true
 }
 
 // rejectDuplicates enforces pattern distinctness for engines that would

@@ -87,13 +87,12 @@ func (e Engine) String() string {
 type PrefilterMode int
 
 const (
-	// PrefilterOff (Matcher's default) never filters; PrefixLen stays
-	// available.
+	// PrefilterOff (the default) never filters; PrefixLen stays available.
 	PrefilterOff PrefilterMode = iota
 	// PrefilterOn always filters on the general engine, using the wide-lane
 	// kernel (eight text positions screened per step against an 8-bucket
 	// Teddy-style prefix screen packed into uint64 byte lanes — the
-	// production screen). ShardedMatcher's default.
+	// production screen).
 	PrefilterOn
 	// PrefilterAuto filters only when the built filter looks selective
 	// (estimated pass rate on random text below 25%, judged on the wide
@@ -192,10 +191,10 @@ func WithBinaryExpansion() Option {
 	return func(c *config) { c.binary = true }
 }
 
-// WithPrefilter sets the prefilter mode. Matcher consults it on the general
-// engine (default PrefilterOff, which keeps PrefixLen available); a
-// ShardedMatcher installs it on every shard base (default PrefilterOn, as
-// it exposes no prefix lengths). Other engines ignore the option.
+// WithPrefilter sets the prefilter mode (default PrefilterOff). Only
+// Matcher's general engine consults it; other engines ignore the option, and
+// so does ShardedMatcher, whose shard bases always carry the wide screen
+// (PrefilterOn).
 func WithPrefilter(mode PrefilterMode) Option {
 	return func(c *config) { c.prefilter = mode }
 }

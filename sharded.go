@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"pardict/internal/alpha"
-	"pardict/internal/core"
 	"pardict/internal/obs"
 	"pardict/internal/pram"
 	"pardict/internal/shard"
@@ -61,8 +60,8 @@ type ShardedMatcher struct {
 	enc *alpha.Encoder
 	set *shard.Set
 	// labels is what pool workers helping a scan wear in CPU profiles
-	// (engine=sharded, op=match, level=k), built once and shared by every
-	// scan.
+	// (engine=sharded, op=match, level=k) when the caller's context carries
+	// no labels of its own, built once and shared by every such scan.
 	labels *pram.LevelLabels
 }
 
@@ -83,11 +82,11 @@ func defaultShards() int {
 // other matcher kinds. Patterns are loaded with Insert, Reload, or
 // ReloadSaved. Call Close when done to stop the background reconciler.
 //
-// Shard bases are screened by the wide prefilter unless WithPrefilter says
-// otherwise: a ShardedMatcher exposes no prefix lengths, so the screen costs
-// it nothing but the filter build.
+// Every shard base is screened by the wide prefilter (PrefilterOn); a
+// ShardedMatcher exposes no prefix lengths, so the screen costs it nothing
+// but the filter build, and it ignores WithPrefilter.
 func NewShardedMatcher(opts ...Option) (*ShardedMatcher, error) {
-	cfg := buildConfig(append([]Option{WithPrefilter(PrefilterOn)}, opts...))
+	cfg := buildConfig(opts)
 	enc, err := cfg.encoder()
 	if err != nil {
 		return nil, err
@@ -105,9 +104,6 @@ func NewShardedMatcher(opts ...Option) (*ShardedMatcher, error) {
 		obs.Do(nil, ctx.SetLabelContext, "engine", "sharded", "op", "reconcile")
 		return ctx
 	})
-	if mode := cfg.prefilter; mode != PrefilterOff {
-		m.set.SetScreen(func(d *core.Dict) { screenDict(d, mode) })
-	}
 	if cfg.writePhase != WritePhaseJoined {
 		m.set.SetWritePhaseMode(int32(cfg.writePhase))
 	}
@@ -300,9 +296,8 @@ func (m *ShardedMatcher) SchedulerStats() SchedulerStats {
 
 // ShardedMatches is the per-position result of a sharded Match: the longest
 // live pattern per position, merged across shards, with aggregated PRAM cost
-// (Σ work over shard tasks and merge; max shard depth plus merge depth). It is
-// stored sparsely (a position bitmap plus one row per matched position) and
-// may be returned to the buffer pools with Release; an abandoned
+// (Σ work over shard tasks and merge; max shard depth plus merge depth). Its
+// arrays come from the buffer pools and go back with Release; an abandoned
 // ShardedMatches is ordinary garbage.
 type ShardedMatches struct {
 	r     *shard.Result
@@ -329,13 +324,9 @@ func (m *ShardedMatcher) MatchContext(gctx context.Context, text []byte) (*Shard
 	esp.End()
 	var r *shard.Result
 	var canceled *pram.Ctx
-	obs.Do(gctx, func(context.Context) {
+	obs.Do(gctx, func(lctx context.Context) {
 		r, canceled = m.set.MatchTraced(func() *pram.Ctx {
-			ctx := m.cfg.newCtxFor(gctx)
-			if obs.Enabled() {
-				ctx.SetLevelLabels(m.labels)
-			}
-			return ctx
+			return m.scanCtx(gctx, lctx)
 		}, enc, tr)
 	}, "engine", "sharded", "op", "match")
 	if canceled != nil {
@@ -397,25 +388,50 @@ func (m *ShardedMatcher) MatchBatch(gctx context.Context, texts [][]byte) ([]*Sh
 	return out, nil
 }
 
+// scanCtx returns the execution context of one shard task (or the merge) of
+// a scan under gctx, where lctx is gctx as obs.Do labeled it (engine=sharded,
+// op=match when obs is enabled). Pool workers helping it wear lctx's labels,
+// refined per cascade level: built from lctx when gctx carries labels of its
+// own, so a caller's labels reach every profile sample of the scan, and
+// otherwise taken from the matcher's shared cache, which relabels without
+// allocating.
+func (m *ShardedMatcher) scanCtx(gctx, lctx context.Context) *pram.Ctx {
+	ctx := m.cfg.newCtxFor(gctx)
+	switch {
+	case obs.HasLabels(gctx):
+		ctx.SetLabelContext(lctx)
+	case obs.Enabled():
+		ctx.SetLevelLabels(m.labels)
+	}
+	return ctx
+}
+
 // Len reports the text length the matches cover.
-func (r *ShardedMatches) Len() int { return r.r.Len() }
+func (r *ShardedMatches) Len() int { return len(r.r.Len) }
 
 // Longest returns the id of the longest live pattern starting at position i,
 // and whether any pattern matches there.
 func (r *ShardedMatches) Longest(i int) (PatternID, bool) {
-	l, id := r.r.LongestAt(i)
-	return PatternID(id), l > 0
+	if r.r.Len[i] == 0 {
+		return 0, false
+	}
+	return PatternID(r.r.ID[i]), true
 }
 
 // MatchLen reports the length of the longest live pattern starting at
 // position i (0 when none).
-func (r *ShardedMatches) MatchLen(i int) int {
-	l, _ := r.r.LongestAt(i)
-	return int(l)
-}
+func (r *ShardedMatches) MatchLen(i int) int { return int(r.r.Len[i]) }
 
 // Count returns the number of positions with at least one match.
-func (r *ShardedMatches) Count() int { return r.r.Count() }
+func (r *ShardedMatches) Count() int {
+	n := 0
+	for _, l := range r.r.Len {
+		if l > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // ShardedHit is one pattern occurrence reported by AllAt.
 type ShardedHit struct {

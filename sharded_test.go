@@ -391,29 +391,27 @@ func TestShardedDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedDifferentialScreened runs every prefilter mode under churn in
-// both write phases against the DynamicMatcher oracle. Automatic rebuilds are
-// off and Reconcile runs every few rounds, so scans see freshly compiled
+// TestShardedDifferentialScreened runs the screened shard bases under churn
+// in both write phases against the DynamicMatcher oracle. Automatic rebuilds
+// are off and Reconcile runs every few rounds, so scans see freshly compiled
 // (screened) bases, pending deletes that walk NextShorter from a screened
 // Pat[j], and overlay adds, in every mix. Each scan checks the longest
 // match per position, Count, and AllAt (dictserve's mode=all) against a
 // brute-force expansion of the live set.
 func TestShardedDifferentialScreened(t *testing.T) {
-	for _, pf := range []PrefilterMode{PrefilterOn, PrefilterScalar, PrefilterOff} {
-		for _, wp := range []WritePhase{WritePhaseJoined, WritePhaseSplit} {
-			for _, tc := range []struct {
-				name  string
-				sigma int
-				opts  []Option
-			}{
-				{"sigma2", 2, []Option{WithAlphabet([]byte("ab"))}},
-				{"sigma256", 3, nil},
-			} {
-				t.Run(fmt.Sprintf("%v/%v/%s", pf, wp, tc.name), func(t *testing.T) {
-					screenedDifferential(t, tc.sigma, tc.opts, append([]Option{
-						WithShards(4), WithPrefilter(pf), WithWritePhase(wp)}, tc.opts...))
-				})
-			}
+	for _, wp := range []WritePhase{WritePhaseJoined, WritePhaseSplit} {
+		for _, tc := range []struct {
+			name  string
+			sigma int
+			opts  []Option
+		}{
+			{"sigma2", 2, []Option{WithAlphabet([]byte("ab"))}},
+			{"sigma256", 3, nil},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", wp, tc.name), func(t *testing.T) {
+				screenedDifferential(t, tc.sigma, tc.opts, append([]Option{
+					WithShards(4), WithWritePhase(wp)}, tc.opts...))
+			})
 		}
 	}
 }
@@ -456,7 +454,6 @@ func screenedDifferential(t *testing.T, sigma int, alphabet, opts []Option) {
 	}
 	compiled()
 	sawDeletes, sawAdds := false, false
-	screened := m.cfg.prefilter != PrefilterOff
 	skipped0 := m.SchedulerStats().PrefilterSkipped
 	for round := 0; round < 30; round++ {
 		for k := 0; k < 6; k++ {
@@ -504,7 +501,7 @@ func screenedDifferential(t *testing.T, sigma int, alphabet, opts []Option) {
 			checkScreenedScan(t, m, o, live, text)
 		}
 	}
-	if skipped := m.SchedulerStats().PrefilterSkipped - skipped0; screened && skipped == 0 {
+	if skipped := m.SchedulerStats().PrefilterSkipped - skipped0; skipped == 0 {
 		t.Fatal("screened shard bases skipped no position")
 	}
 	if !sawDeletes || !sawAdds {
