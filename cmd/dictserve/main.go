@@ -84,7 +84,7 @@ func main() {
 		dictPath = flag.String("dict", "", "file with one pattern per line")
 		loadPath = flag.String("load", "", "compiled dictionary (see dictmatch -compile)")
 		addr     = flag.String("addr", ":8844", "listen address")
-		shards   = flag.Int("shards", 0, "dictionary partitions (0 = 2×GOMAXPROCS, capped at 32)")
+		shards   = flag.Int("shards", 0, "dictionary partitions (0 = GOMAXPROCS, capped at 32)")
 		procs    = flag.Int("procs", 0, "parallelism (0 = GOMAXPROCS)")
 		wphase   = flag.String("writephase", "joined", "mutation coordination: joined (read-your-writes), auto (switch to per-core logs under write storms), split (force per-core logs)")
 		maxBody  = flag.Int64("maxbody", 16<<20, "maximum request body size in bytes")

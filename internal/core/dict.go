@@ -214,8 +214,8 @@ func (d *Dict) upsweep(c *pram.Ctx, patterns [][]int32) [][][]int32 {
 				keys[base+t/2] = naming.EncodePair(row[t], row[t+1])
 			}
 		})
-		names, _ := naming.BatchName(c, keys)
-		d.up[k] = naming.Freeze(c, naming.BuildTable(c, keys, names))
+		names, distinct := naming.BatchName(c, keys)
+		d.up[k] = naming.FreezeBatch(c, keys, names, distinct)
 
 		cur := make([][]int32, np)
 		c.For(np, func(i int) {
@@ -253,7 +253,7 @@ func (d *Dict) downsweep(c *pram.Ctx, patterns [][]int32, blocks [][][]int32) {
 		total := c.ExclusiveScanInt(counts[:np])
 		counts[np] = total
 		if total == 0 {
-			d.down[k] = naming.Freeze(c, naming.NewTable(c))
+			d.down[k] = naming.FreezeBatch(c, nil, nil, 0)
 			continue
 		}
 
@@ -278,15 +278,12 @@ func (d *Dict) downsweep(c *pram.Ctx, patterns [][]int32, blocks [][][]int32) {
 		})
 
 		names, reps, distinct := naming.BatchNameRep(c, keys)
+		// Offset the batch's names in place to this level's global prefix
+		// names; they are both the pn entries and the down[k] stamps.
 		base := int32(len(lenOf))
-		c.For(total, func(e int) {
-			i := entryPat[e]
-			l := entryLen[e]
-			d.pn[i][l-1] = base + names[e]
-		})
-		vals := make([]int32, total)
-		c.For(total, func(e int) { vals[e] = base + names[e] })
-		d.down[k] = naming.Freeze(c, naming.BuildTable(c, keys, vals))
+		c.For(total, func(e int) { names[e] += base })
+		c.For(total, func(e int) { d.pn[entryPat[e]][entryLen[e]-1] = names[e] })
+		d.down[k] = naming.FreezeBatch(c, keys, names, distinct)
 
 		newLen := make([]int32, distinct)
 		newRep := make([]int32, distinct)

@@ -256,5 +256,5 @@ func readTable(c *pram.Ctx, r io.Reader) (*naming.Frozen, error) {
 			return nil, fmt.Errorf("%w: negative table value", ErrBadFormat)
 		}
 	}
-	return naming.Freeze(c, naming.BuildTable(c, keys, vals)), nil
+	return naming.FreezeBatch(c, keys, vals, len(keys)), nil
 }

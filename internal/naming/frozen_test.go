@@ -8,16 +8,13 @@ import (
 	"pardict/internal/pram"
 )
 
-// homeSlot mirrors Frozen's slot derivation for a table of the given shift.
-func homeSlot(k uint64, shift uint) uint64 { return (k * fib64) >> shift }
-
-// keysWithHome brute-forces n distinct keys whose home slot (for a table of
-// 2^(64-shift) slots) equals want.
-func keysWithHome(t *testing.T, shift uint, want uint64, n int) []uint64 {
+// keysWithHome brute-forces n distinct keys whose home slot in a table of
+// size slots equals want.
+func keysWithHome(t *testing.T, size int, want int, n int) []uint64 {
 	t.Helper()
 	var out []uint64
 	for k := uint64(1); len(out) < n && k < 1<<22; k++ {
-		if homeSlot(k, shift) == want {
+		if home(k, size) == want {
 			out = append(out, k)
 		}
 	}
@@ -38,19 +35,29 @@ func freezeOf(t *testing.T, keys []uint64) *Frozen {
 }
 
 // TestFrozenCollisionCluster stores several keys that all home to the same
-// slot, forcing a maximal linear-probe cluster, and checks that every key is
-// found and that absent keys probing through the cluster miss cleanly.
+// slot, forcing a linear-probe cluster longer than one eight-slot probe
+// window, and checks that every key is found and that absent keys probing
+// through the cluster miss cleanly.
 func TestFrozenCollisionCluster(t *testing.T) {
-	// 4 entries -> size 8 -> shift 61.
-	keys := keysWithHome(t, 61, 3, 4)
+	// 10 entries -> size 30 (load 1/3); homed at slot 2 they fill slots
+	// 2..11: one full window (2..9), then a window whose third lane is empty.
+	keys := keysWithHome(t, 30, 2, 10)
 	f := freezeOf(t, keys)
+	if len(f.fps) != 30 {
+		t.Fatalf("expected a 30-slot table, got %d", len(f.fps))
+	}
 	for i, k := range keys {
 		if v, ok := f.Get(k); !ok || v != int32(i+1) {
 			t.Fatalf("key %d (cluster pos %d): got (%d,%v)", k, i, v, ok)
 		}
 	}
+	for s := 2; s < 12; s++ {
+		if f.fps[s] == 0 {
+			t.Fatalf("cluster slot %d empty", s)
+		}
+	}
 	// An absent key homing into the same cluster must walk it and miss.
-	probe := keysWithHome(t, 61, 3, 5)[4]
+	probe := keysWithHome(t, 30, 2, 11)[10]
 	if v, ok := f.Get(probe); ok {
 		t.Fatalf("absent cluster key %d reported hit %d", probe, v)
 	}
@@ -62,28 +69,30 @@ func TestFrozenCollisionCluster(t *testing.T) {
 // TestFrozenProbeWraparound fills the last slots of the table so the probe
 // chain must wrap from the top index back to 0.
 func TestFrozenProbeWraparound(t *testing.T) {
-	// 4 entries -> size 8; home everything at slot 7 so the cluster is
-	// 7, 0, 1, 2.
-	keys := keysWithHome(t, 61, 7, 4)
+	// 4 entries -> size 12; home everything at slot 11 so the cluster is
+	// 11, 0, 1, 2 (single steps up to the wrap, then a window from 0).
+	keys := keysWithHome(t, 12, 11, 4)
 	f := freezeOf(t, keys)
-	if f.mask != 7 {
-		t.Fatalf("expected size-8 table, mask=%d", f.mask)
+	if len(f.fps) != 12 {
+		t.Fatalf("expected a 12-slot table, got %d", len(f.fps))
 	}
 	for i, k := range keys {
 		if v, ok := f.Get(k); !ok || v != int32(i+1) {
 			t.Fatalf("wrapped key %d: got (%d,%v)", k, v, ok)
 		}
 	}
-	// The slots after the wrap must hold the overflow: slot 7 occupied plus
-	// at least one of slots 0..2.
-	if f.fps[7] == 0 {
-		t.Fatal("home slot 7 empty")
+	// The slots after the wrap must hold the overflow: slot 11 occupied
+	// plus slots 0..2.
+	if f.fps[11] == 0 {
+		t.Fatal("home slot 11 empty")
 	}
-	if f.fps[0] == 0 {
-		t.Fatal("probe chain did not wrap to slot 0")
+	for s := 0; s < 3; s++ {
+		if f.fps[s] == 0 {
+			t.Fatalf("probe chain did not wrap to slot %d", s)
+		}
 	}
-	// A miss that starts at slot 7 must wrap and terminate.
-	probe := keysWithHome(t, 61, 7, 5)[4]
+	// A miss that starts at slot 11 must wrap and terminate.
+	probe := keysWithHome(t, 12, 11, 5)[4]
 	if _, ok := f.Get(probe); ok {
 		t.Fatal("absent wrapped key reported present")
 	}
@@ -93,11 +102,11 @@ func TestFrozenProbeWraparound(t *testing.T) {
 // slot AND the same 8-bit fingerprint, so the probe must fall through to the
 // full key compare to tell them apart.
 func TestFrozenFingerprintAliasing(t *testing.T) {
+	const size = minSlots // two entries sit at the size floor
 	var a, b uint64
-	seen := map[[2]uint64]uint64{} // (home, fp) -> key
+	seen := map[[2]int]uint64{} // (home, fp) -> key
 	for k := uint64(1); k < 1<<24; k++ {
-		h := k * fib64
-		sig := [2]uint64{h >> 61, uint64(fingerprint(h))}
+		sig := [2]int{home(k, size), int(fingerprint(k))}
 		if prev, ok := seen[sig]; ok {
 			a, b = prev, k
 			break
@@ -108,6 +117,9 @@ func TestFrozenFingerprintAliasing(t *testing.T) {
 		t.Fatal("no fingerprint-aliased key pair found")
 	}
 	f := freezeOf(t, []uint64{a, b})
+	if len(f.fps) != size {
+		t.Fatalf("expected a %d-slot table, got %d", size, len(f.fps))
+	}
 	if v, ok := f.Get(a); !ok || v != 1 {
 		t.Fatalf("aliased key a: (%d,%v)", v, ok)
 	}
@@ -116,15 +128,44 @@ func TestFrozenFingerprintAliasing(t *testing.T) {
 	}
 }
 
-// TestFrozenFullTableProbe loads the table to its exact capacity bound
-// (size = smallest power of two >= 2n) and verifies every probe chain,
-// including misses that must traverse long runs.
+// TestFrozenWindowStopsAtEmpty guards the probe window's cut-off. Key 0
+// homes to slot 0 with tag 1 in every table, and empty slots hold key 0. A
+// stored key with the same home and tag makes the window flag its lane and,
+// as a borrow artefact, the empty lane above it; a lookup of the absent key
+// 0 must stop at that empty slot instead of comparing its zero key.
+func TestFrozenWindowStopsAtEmpty(t *testing.T) {
+	var a uint64
+	for k := uint64(1); k < 1<<24; k++ {
+		if home(k, minSlots) == 0 && fingerprint(k) == fingerprint(0) {
+			a = k
+			break
+		}
+	}
+	if a == 0 {
+		t.Fatal("no key shares key 0's home slot and tag")
+	}
+	f := freezeOf(t, []uint64{a})
+	if v, ok := f.Get(0); ok {
+		t.Fatalf("absent key 0 reported hit %d", v)
+	}
+	if v, ok := f.Get(a); !ok || v != 1 {
+		t.Fatalf("key %d: (%d,%v)", a, v, ok)
+	}
+	f = freezeOf(t, []uint64{a, 0})
+	if v, ok := f.Get(0); !ok || v != 2 {
+		t.Fatalf("stored key 0: (%d,%v)", v, ok)
+	}
+}
+
+// TestFrozenFullTableProbe loads a large table to its exact sizing bound
+// (size = 3n/2 + spareSlots, no rounding: load near 2/3) and verifies every
+// probe chain, including misses that must traverse long runs.
 func TestFrozenFullTableProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := pram.New(1)
 	tb := NewTable(c)
 	keys := map[uint64]int32{}
-	for len(keys) < 1024 {
+	for len(keys) < 8192 {
 		k := rng.Uint64()
 		if _, dup := keys[k]; dup {
 			continue
@@ -134,8 +175,11 @@ func TestFrozenFullTableProbe(t *testing.T) {
 		tb.Put(k, v)
 	}
 	f := Freeze(c, tb)
-	if f.Len() != 1024 {
+	if f.Len() != 8192 {
 		t.Fatalf("len = %d", f.Len())
+	}
+	if len(f.fps) != 12288+spareSlots {
+		t.Fatalf("size = %d, want %d", len(f.fps), 12288+spareSlots)
 	}
 	for k, want := range keys {
 		if got, ok := f.Get(k); !ok || got != want {
@@ -153,8 +197,110 @@ func TestFrozenFullTableProbe(t *testing.T) {
 	}
 }
 
+// sameFrozen fails unless a and b hold the same entries and answer the
+// probes alike.
+func sameFrozen(t *testing.T, a, b *Frozen, probes []uint64) {
+	t.Helper()
+	if a.Len() != b.Len() {
+		t.Fatalf("len %d vs %d", a.Len(), b.Len())
+	}
+	a.Range(func(k uint64, v int32) bool {
+		if got, ok := b.Get(k); !ok || got != v {
+			t.Fatalf("key %d: (%d,%v) want %d", k, got, ok, v)
+		}
+		return true
+	})
+	for _, k := range probes {
+		va, oka := a.Get(k)
+		vb, okb := b.Get(k)
+		if va != vb || oka != okb {
+			t.Fatalf("probe %d: (%d,%v) vs (%d,%v)", k, va, oka, vb, okb)
+		}
+	}
+}
+
+// TestFreezeBatchMatchesBuildTable checks FreezeBatch against the two-step
+// Freeze(BuildTable(...)) it replaces: same entries (the smallest index wins
+// on repeats), same charged Work and Depth, on repeated keys, on an empty
+// batch and at the size floor.
+func TestFreezeBatchMatchesBuildTable(t *testing.T) {
+	big := make([]uint64, 5000)
+	bigVals := make([]int32, len(big))
+	for i := range big {
+		big[i] = uint64(i%2000) * 0x9E3779B1 // 2000 distinct keys, repeated
+		bigVals[i] = int32(i)                // repeats carry different values
+	}
+	cases := []struct {
+		name  string
+		keys  []uint64
+		vals  []int32
+		slots int
+	}{
+		{"repeats", []uint64{1, 2, 1, 3, 2}, []int32{10, 20, 99, 30, 88}, 8},
+		{"empty", nil, nil, minSlots},
+		{"floor", []uint64{1, 2, 1}, []int32{1, 2, 3}, minSlots},
+		{"past-floor", []uint64{1, 2, 3, 4, 5, 6, 5}, []int32{1, 2, 3, 4, 5, 6, 7}, 18},
+		{"many-repeats", big, bigVals, 3000 + spareSlots},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			first := map[uint64]int32{}
+			for i, k := range tc.keys {
+				if _, ok := first[k]; !ok {
+					first[k] = tc.vals[i]
+				}
+			}
+			c1, c2 := pram.New(2), pram.New(2)
+			want := Freeze(c1, BuildTable(c1, tc.keys, tc.vals))
+			got := FreezeBatch(c2, tc.keys, tc.vals, len(first))
+			if c1.Work() != c2.Work() || c1.Depth() != c2.Depth() {
+				t.Fatalf("charged (work %d, depth %d), Freeze(BuildTable) charges (%d, %d)",
+					c2.Work(), c2.Depth(), c1.Work(), c1.Depth())
+			}
+			if got.Len() != len(first) {
+				t.Fatalf("len %d want %d", got.Len(), len(first))
+			}
+			if len(got.fps) != tc.slots {
+				t.Fatalf("size %d want %d", len(got.fps), tc.slots)
+			}
+			sameFrozen(t, want, got, []uint64{0, 1, 2, 3, 4, 7, 8, 9, 1199, 1200, 1 << 40})
+			for k, v := range first {
+				if g, ok := got.Get(k); !ok || g != v {
+					t.Fatalf("key %d: (%d,%v) want first value %d", k, g, ok, v)
+				}
+			}
+		})
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestFreezeBatchPanics(t *testing.T) {
+	c := pram.New(1)
+	mustPanic(t, "a None value", func() {
+		FreezeBatch(c, []uint64{1, 2}, []int32{5, None}, 2)
+	})
+	mustPanic(t, "an understated distinct count", func() {
+		FreezeBatch(c, []uint64{1, 2, 3}, []int32{1, 2, 3}, 2)
+	})
+	// A None value that loses to an earlier occurrence is never stored.
+	f := FreezeBatch(c, []uint64{1, 1}, []int32{5, None}, 1)
+	if v := f.Lookup(1); v != 5 {
+		t.Fatalf("Lookup(1) = %d", v)
+	}
+}
+
 // FuzzFrozenVsMap asserts frozen lookups are identical to map lookups on
-// arbitrary key sets (the frozen-table oracle of the PR checklist).
+// arbitrary key sets (the frozen-table oracle of the PR checklist), for both
+// Freeze of a Table and FreezeBatch of a batch with repeats.
 func FuzzFrozenVsMap(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 255, 255})
@@ -162,15 +308,18 @@ func FuzzFrozenVsMap(f *testing.F) {
 		c := pram.New(1)
 		tb := NewTable(c)
 		oracle := map[uint64]int32{}
-		// First half of the bytes define inserted keys (clustered into a
-		// small space so collisions are common), second half define probes.
-		var probes []uint64
+		// Even-led triples define inserted keys (clustered into a small
+		// space so collisions are common), odd-led ones define probes.
+		var probes, batchKeys []uint64
+		var batchVals []int32
 		for i := 0; i+2 < len(data); i += 3 {
 			var kb [8]byte
 			copy(kb[:], data[i:i+3])
 			k := binary.LittleEndian.Uint64(kb[:]) % 509
 			if data[i]%2 == 0 {
 				v := int32(data[i+1]) + 1 // never None
+				batchKeys = append(batchKeys, k)
+				batchVals = append(batchVals, v)
 				if _, dup := oracle[k]; !dup {
 					oracle[k] = v
 					tb.Put(k, v)
@@ -180,25 +329,28 @@ func FuzzFrozenVsMap(f *testing.F) {
 			}
 		}
 		fz := Freeze(c, tb)
-		if fz.Len() != len(oracle) {
-			t.Fatalf("frozen len %d, oracle %d", fz.Len(), len(oracle))
-		}
-		check := func(k uint64) {
-			got, gok := fz.Get(k)
-			want, wok := oracle[k]
-			if gok != wok || (gok && got != want) {
-				t.Fatalf("Get(%d): frozen (%d,%v), map (%d,%v)", k, got, gok, want, wok)
+		fb := FreezeBatch(c, batchKeys, batchVals, len(oracle))
+		for name, fr := range map[string]*Frozen{"Freeze": fz, "FreezeBatch": fb} {
+			if fr.Len() != len(oracle) {
+				t.Fatalf("%s len %d, oracle %d", name, fr.Len(), len(oracle))
 			}
-			tv, tok := tb.Get(k)
-			if tok != gok || (tok && tv != got) {
-				t.Fatalf("Get(%d): table (%d,%v) disagrees with frozen (%d,%v)", k, tv, tok, got, gok)
+			check := func(k uint64) {
+				got, gok := fr.Get(k)
+				want, wok := oracle[k]
+				if gok != wok || (gok && got != want) {
+					t.Fatalf("%s Get(%d): frozen (%d,%v), map (%d,%v)", name, k, got, gok, want, wok)
+				}
+				tv, tok := tb.Get(k)
+				if tok != gok || (tok && tv != got) {
+					t.Fatalf("%s Get(%d): table (%d,%v) disagrees with frozen (%d,%v)", name, k, tv, tok, got, gok)
+				}
 			}
-		}
-		for k := range oracle {
-			check(k)
-		}
-		for _, k := range probes {
-			check(k)
+			for k := range oracle {
+				check(k)
+			}
+			for _, k := range probes {
+				check(k)
+			}
 		}
 	})
 }

@@ -20,6 +20,7 @@ package smallalpha
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"pardict/internal/core"
 	"pardict/internal/naming"
@@ -155,6 +156,9 @@ func New(c *pram.Ctx, patterns [][]int32, sigma, l int) (*Matcher, error) {
 	})
 	m.lpD = make([]int32, m.dictP.NameCount())
 	pram.Fill(c, m.lpD, -1)
+	// Suffixes sharing a prefix write the same carry to its name (equal
+	// content ⇒ equal chain), the benign concurrent write of the CRCW model;
+	// the stores are atomic so that Go's memory model agrees.
 	c.For(len(pstrs), func(i int) {
 		carry := int32(-1)
 		for pos := 1; pos <= len(pstrs[i]); pos++ {
@@ -162,7 +166,7 @@ func New(c *pram.Ctx, patterns [][]int32, sigma, l int) (*Matcher, error) {
 			if p := isPat[name]; p >= 0 {
 				carry = p
 			}
-			m.lpD[name] = carry
+			atomic.StoreInt32(&m.lpD[name], carry)
 		}
 	})
 
@@ -287,10 +291,12 @@ func (m *Matcher) buildBlocks(c *pram.Ctx, pstrs [][]int32) error {
 		return err
 	}
 	m.mapPrime = make([]int32, m.dictPrime.NameCount())
+	// 𝒫' strings sharing a prefix write the same 𝒫 name to it (equal
+	// content); atomic stores make the benign CRCW write race-free in Go.
 	c.For(len(primeSrc), func(pi int) {
 		i := primeSrc[pi]
 		for b := 1; b <= len(m.dictPrime.Pattern(pi)); b++ {
-			m.mapPrime[m.dictPrime.PrefixName(pi, b)] = m.dictP.PrefixName(i, b*l)
+			atomic.StoreInt32(&m.mapPrime[m.dictPrime.PrefixName(pi, b)], m.dictP.PrefixName(i, b*l))
 		}
 	})
 	return nil

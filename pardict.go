@@ -200,9 +200,10 @@ func WithPrefilter(mode PrefilterMode) Option {
 }
 
 // WithShards sets the partition count of a ShardedMatcher (ignored by the
-// other matcher kinds). Zero — the default — picks 2×GOMAXPROCS capped at 32:
-// enough partitions that rebuilds stay small and scatter tasks saturate the
-// pool, without multiplying the per-scan engine overhead needlessly.
+// other matcher kinds). Zero — the default — picks one shard per core
+// (GOMAXPROCS), capped at 32: every shard scans the whole text, so each one
+// adds a full cascade to every read, and one per core is the fewest that
+// still keeps the pool busy during a scan.
 func WithShards(s int) Option {
 	return func(c *config) { c.shards = s }
 }

@@ -65,9 +65,12 @@ type ShardedMatcher struct {
 	labels *pram.LevelLabels
 }
 
-// defaultShards picks the partition count: 2×GOMAXPROCS capped at 32.
+// defaultShards picks the partition count: one shard per core
+// (GOMAXPROCS), capped at 32. Every shard scans the whole text (O(n·log m)
+// work whatever its share of the dictionary), so a served scan costs S
+// cascades; one per core still lets the shard tasks fill the pool.
 func defaultShards() int {
-	s := 2 * runtime.GOMAXPROCS(0)
+	s := runtime.GOMAXPROCS(0)
 	if s > 32 {
 		s = 32
 	}

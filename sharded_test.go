@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -115,8 +116,16 @@ func TestShardedMatcherStatsAndReconcile(t *testing.T) {
 
 func TestShardedDefaultShards(t *testing.T) {
 	m := newSharded(t)
-	if m.Shards() < 1 || m.Shards() > 32 {
-		t.Fatalf("default shards = %d", m.Shards())
+	if want := defaultShards(); m.Shards() != want {
+		t.Fatalf("default shards = %d, want defaultShards() = %d", m.Shards(), want)
+	}
+	// One shard per core, capped at 32.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, want int }{{1, 1}, {2, 2}, {3, 3}, {16, 16}, {32, 32}, {33, 32}, {64, 32}} {
+		runtime.GOMAXPROCS(tc.procs)
+		if got := defaultShards(); got != tc.want {
+			t.Errorf("GOMAXPROCS %d: defaultShards() = %d, want %d", tc.procs, got, tc.want)
+		}
 	}
 }
 
