@@ -181,8 +181,8 @@ func hotShardStormKeys(w, count, nShards int) *stormKeys {
 }
 
 // e20: the write-storm sweep behind the phase-reconciled write path. Joined
-// writes pay an O(pending) overlay refresh under the shard lock on every
-// mutation; split writes are O(1) appends to per-core private logs that a
+// writes publish a derived snapshot under the shard lock on every mutation;
+// split writes are O(1) appends to per-core private logs that a
 // background merge folds in (last-writer-wins) every couple of milliseconds.
 // The sweep drives 10–100x the E14 write rates through both phases (plus
 // auto, which must track split) and a dynamic-RWMutex baseline, in two

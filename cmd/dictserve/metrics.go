@@ -273,6 +273,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("pardict_shard_merged_ops_total", "Private-log records folded into shard overlays.", sst.MergedOps)
 	histogram("pardict_shard_merge_seconds", "Wall time per private-log merge pass (process-wide).",
 		gm.MergeNs)
+	counter("pardict_shard_overlay_screened_total", "Position and length-class probes the pending-insert fingerprint filter passed.", gm.OverlayScreened)
+	counter("pardict_shard_overlay_verified_total", "Pending-insert candidates verified behind the fingerprint filter.", gm.OverlayVerified)
 
 	active, gen, strm := s.stream.stats()
 	gauge("pardict_stream_sessions", "Open multiplexed streams.", int64(active))

@@ -669,6 +669,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"pardict_slo_burn_rate", "pardict_trace_sample_every",
 		"pardict_trace_started_total", "pardict_trace_retained",
 		"pardict_prefilter_scanned_total", "pardict_prefilter_skipped_total",
+		"pardict_shard_overlay_screened_total", "pardict_shard_overlay_verified_total",
 	} {
 		if typed[want] == "" {
 			t.Fatalf("series %s missing from scrape", want)

@@ -387,34 +387,21 @@ func (p *Pool) run(c *Ctx, n, grain int, body func(lo, hi int)) int64 {
 func (p *Pool) participate(ph *phase, slot int) {
 	ns := len(ph.spans)
 	own := slot % ns
+	ci, stolen := ph.claimFrom(own)
+	if ci < 0 {
+		p.detach(ph)
+		return
+	}
 	// Chunk and steal counts are aggregated locally and flushed with two
-	// atomic adds on the way out, so the per-chunk claim path carries no
-	// shared-counter traffic. track is snapshotted at the first successful
-	// claim (the flush itself runs after the barrier, when ph may already be
-	// reinitialized for another submission).
+	// atomic adds before the participant retires its last chunk, so the
+	// per-chunk claim path carries no shared-counter traffic and the
+	// submitter, released only once every chunk is retired, reads them in
+	// Stats. The next chunk is claimed before the current one retires: a
+	// participant that finds none left flushes while it still holds the
+	// barrier open (and ph cannot be recycled under it).
+	track := ph.track
 	var chunks, steals int64
-	track := false
-	defer func() {
-		if chunks > 0 && track {
-			p.chunks.Add(chunks)
-			p.steals.Add(steals)
-			p.slotChunks[own].n.Add(chunks)
-		}
-	}()
 	for {
-		stolen := false
-		ci := ph.spans[own].claim()
-		for d := 1; ci < 0 && d < ns; d++ {
-			ci = ph.spans[(own+d)%ns].claim()
-			stolen = ci >= 0
-		}
-		if ci < 0 {
-			p.detach(ph)
-			return
-		}
-		if chunks == 0 {
-			track = ph.track
-		}
 		chunks++
 		if stolen {
 			steals++
@@ -433,13 +420,42 @@ func (p *Pool) participate(ph *phase, slot int) {
 		if !ph.owner.Load().Canceled() {
 			ph.body(lo, hi)
 		}
+		next, nextStolen := ph.claimFrom(own)
+		if next < 0 {
+			p.detach(ph)
+			if track {
+				p.chunks.Add(chunks)
+				p.steals.Add(steals)
+				p.slotChunks[own].n.Add(chunks)
+			}
+		}
 		if ph.remaining.Add(-1) == 0 {
 			ph.mu.Lock()
 			ph.done = true
 			ph.mu.Unlock()
 			ph.cv.Broadcast()
 		}
+		if next < 0 {
+			return
+		}
+		ci, stolen = next, nextStolen
 	}
+}
+
+// claimFrom claims a chunk of ph, preferring span own and stealing from the
+// rest in order; it returns -1 when none is claimable, and whether the chunk
+// came from another span.
+func (ph *phase) claimFrom(own int) (int64, bool) {
+	ns := len(ph.spans)
+	if ci := ph.spans[own].claim(); ci >= 0 {
+		return ci, false
+	}
+	for d := 1; d < ns; d++ {
+		if ci := ph.spans[(own+d)%ns].claim(); ci >= 0 {
+			return ci, true
+		}
+	}
+	return -1, false
 }
 
 // detach removes ph from the active list once a participant finds it dry. A

@@ -3,8 +3,10 @@ package shard
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"pardict/internal/core"
+	"pardict/internal/obs"
 	"pardict/internal/pram"
 	"pardict/internal/trace"
 )
@@ -29,6 +31,9 @@ type shardHit struct {
 	refs    []int32     // nil when clean
 	lens    []int32     // nil when clean
 	hit     []uint64    // bit j set ⇔ a live pattern of this shard starts at j
+
+	ovScreened atomic.Int64 // overlay (position, class) probes the filter passed
+	ovVerified atomic.Int64 // overlay candidates verified
 }
 
 // lenRefAt returns the per-position longest live length and ref for either
@@ -164,7 +169,7 @@ func (r *Result) scatterGather(mk func() *pram.Ctx, tr *trace.T) *pram.Ctx {
 	// caller's goroutine, which would otherwise only wait.
 	last := -1
 	for i, sn := range r.snaps {
-		if (sn.base == nil || sn.base.PatternCount() == 0) && len(sn.adds) == 0 {
+		if (sn.base == nil || sn.base.PatternCount() == 0) && sn.liveAdds() == 0 {
 			continue
 		}
 		if last >= 0 {
@@ -178,8 +183,8 @@ func (r *Result) scatterGather(mk func() *pram.Ctx, tr *trace.T) *pram.Ctx {
 	}
 	r.wg.Wait()
 
-	var work, depth int64
-	for _, c := range r.ctxs {
+	var work, depth, screened, verified int64
+	for i, c := range r.ctxs {
 		if c == nil {
 			continue
 		}
@@ -190,6 +195,12 @@ func (r *Result) scatterGather(mk func() *pram.Ctx, tr *trace.T) *pram.Ctx {
 		if d := c.Depth(); d > depth {
 			depth = d
 		}
+		screened += r.hits[i].ovScreened.Load()
+		verified += r.hits[i].ovVerified.Load()
+	}
+	if screened > 0 && obs.Enabled() {
+		metOverlayScreened.Add(screened)
+		metOverlayVerified.Add(verified)
 	}
 
 	// Gather: per-position S-way longest-match merge on its own context,
@@ -315,18 +326,19 @@ func entryAt(sn *snapshot, ref int32) Entry {
 // matchSnapshot matches the text against one immutable snapshot into h: the
 // compiled base engine (Θ(n·log m_shard) work, Theorem 1/3, screened by the
 // base's prefilter when one is installed), a per-position longest-live filter
-// over the base result (deleted patterns skipped via the NextShorter chain),
-// and a brute overlay pass for pending inserts — bounded by the
-// reconciliation trigger, so the surcharge never exceeds a constant fraction
-// of the base cost in steady state.
+// over the base result (tombstoned patterns skipped via the NextShorter
+// chain), and the fingerprint-screened overlay pass for pending inserts
+// (overlayPass: O(1) per position and live length class, plus verified
+// candidates).
 func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int, h *shardHit) {
 	n := len(enc)
 	h.active = true
 	h.hasBase = sn.base != nil && sn.base.PatternCount() > 0
-	// A clean snapshot (no pending adds or deletes — the steady state after
-	// reconcile) needs no translation pass and no refs/lens arrays; the base
-	// result is served as-is at frozen-engine speed.
-	h.clean = h.hasBase && len(sn.adds) == 0 && len(sn.delBase) == 0
+	// A clean snapshot (no live pending adds or deletes — the steady state
+	// after reconcile) needs no translation pass and no refs/lens arrays; the
+	// base result is served as-is at frozen-engine speed.
+	live := sn.liveAdds()
+	h.clean = h.hasBase && live == 0 && sn.delBase.n == 0
 
 	if h.hasBase {
 		bsp := tr.StartSpan("shard.base", int64(si))
@@ -345,7 +357,7 @@ func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int, 
 	}
 
 	if h.hasBase {
-		if len(sn.delBase) == 0 {
+		if sn.delBase.n == 0 {
 			c.ForChunk(n, func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					if p := h.base.Pat[j]; p >= 0 {
@@ -360,7 +372,7 @@ func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int, 
 			c.ForChunk(n, func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					for p := h.base.Pat[j]; p >= 0; p = sn.base.NextShorter(p) {
-						if !sn.delBase[p] {
+						if !sn.delBase.has(p) {
 							h.refs[j] = p
 							h.lens[j] = sn.baseLen[p]
 							break
@@ -374,34 +386,10 @@ func matchSnapshot(c *pram.Ctx, sn *snapshot, enc []int32, tr *trace.T, si int, 
 		}
 	}
 
-	if len(sn.adds) > 0 {
+	if live > 0 {
 		osp := tr.StartSpan("shard.overlay", int64(si))
-		adds, order := sn.adds, sn.addsDesc
-		c.ForChunk(n, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				for _, ai := range order {
-					p := adds[ai].Enc
-					L := int32(len(p))
-					if L <= h.lens[j] {
-						break // only shorter candidates remain
-					}
-					if j+int(L) > n {
-						continue
-					}
-					if symEqual(enc[j:j+int(L)], p) {
-						h.refs[j] = -(ai + 2)
-						h.lens[j] = L
-						break
-					}
-				}
-			}
-		})
-		// Charge the extra candidates beyond the one unit/position ForChunk
-		// already counted, keeping the overlay surcharge visible in Work.
-		if len(adds) > 1 {
-			c.AddWork(int64(n) * int64(len(adds)-1))
-		}
-		osp.EndArg(int64(len(adds)))
+		overlayPass(c, sn, enc, h)
+		osp.EndArg(int64(live))
 	}
 }
 
@@ -424,7 +412,7 @@ type Hit struct {
 // AllAt appends to dst every live pattern matching at position j, longest
 // first (live patterns are distinct, so lengths strictly decrease), and
 // returns the extended slice. It walks each shard's retained base chain
-// (skipping pending deletions) plus the overlay adds.
+// (skipping pending deletions) plus the overlay index's candidates at j.
 func (r *Result) AllAt(j int, dst []Hit) []Hit {
 	if r.Len[j] == 0 {
 		return dst // no live pattern starts at j
@@ -438,18 +426,14 @@ func (r *Result) AllAt(j int, dst []Hit) []Hit {
 		sn := r.snaps[si]
 		if h.hasBase {
 			for p := h.base.Pat[j]; p >= 0; p = sn.base.NextShorter(p) {
-				if !sn.delBase[p] {
+				if !sn.delBase.has(p) {
 					e := sn.baseEnt[p]
 					dst = append(dst, Hit{ID: e.ID, Raw: e.Raw, Len: int32(len(e.Enc))})
 				}
 			}
 		}
-		for _, ai := range sn.addsDesc {
-			p := sn.adds[ai].Enc
-			if j+len(p) <= len(r.enc) && symEqual(r.enc[j:j+len(p)], p) {
-				e := sn.adds[ai]
-				dst = append(dst, Hit{ID: e.ID, Raw: e.Raw, Len: int32(len(e.Enc))})
-			}
+		if sn.liveAdds() > 0 {
+			dst = overlayAllAt(sn, r.enc, j, dst)
 		}
 	}
 	out := dst[start:]

@@ -18,13 +18,12 @@
 // operation, transitions and captures take it for write. Taking the write
 // side therefore drains every in-flight writer, which makes a captured batch
 // closed under the global sequence — no op outside the capture can order
-// between two ops inside it, so sorting by seq and keeping each key's last op
-// is exactly the serialization a locked execution would have produced.
+// between two ops inside it, so keeping each key's highest-seq op is exactly
+// the serialization a locked execution would have produced.
 package shard
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -233,7 +232,7 @@ func (t *Set) flushLocked() {
 	t.phaseMu.Unlock()
 }
 
-// captureLocked swaps out every slot's record slice. Caller holds phaseMu.W,
+// captureLocked copies out and empties every slot's records. Caller holds phaseMu.W,
 // so no append is in flight and the batch is closed under the sequence.
 func (t *Set) captureLocked() []splitOp {
 	var all []splitOp
@@ -242,7 +241,9 @@ func (t *Set) captureLocked() []splitOp {
 		s.mu.Lock()
 		if len(s.ops) > 0 {
 			all = append(all, s.ops...)
-			s.ops = nil
+			// Keep the slot's buffer for the next interval's appends.
+			clear(s.ops)
+			s.ops = s.ops[:0]
 		}
 		s.mu.Unlock()
 	}
@@ -250,8 +251,8 @@ func (t *Set) captureLocked() []splitOp {
 	return all
 }
 
-// applyCaptured folds one captured batch into the shards: sort by the global
-// sequence, keep each pattern's final op (last writer wins — an earlier
+// applyCaptured folds one captured batch into the shards: keep each
+// pattern's final op by the global sequence (last writer wins — an earlier
 // insert shadowed by a delete, or vice versa, never needs to touch a shard),
 // bucket by shard, and replay each bucket in a single locked critical section
 // that publishes one overlay snapshot. Caller holds mergeMu; holding phaseMu
@@ -261,101 +262,48 @@ func (t *Set) applyCaptured(batch []splitOp) {
 		return
 	}
 	t0 := time.Now()
-	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	type finalOp struct {
-		del bool
-		e   Entry
-	}
-	final := make(map[string]int, len(batch))
-	var ops []finalOp
+	// Ops on different patterns commute, so only each pattern's op with the
+	// highest sequence matters; no sort of the batch is needed.
+	pos := make(map[string]int, len(batch)) // pattern → index into keys/last
 	var keys []string
+	var last []int // per pattern: index into batch of its final op
 	for i := range batch {
-		o := &batch[i]
-		key := string(o.e.Raw)
-		if idx, ok := final[key]; ok {
-			ops[idx] = finalOp{del: o.del, e: o.e}
-			continue
+		key := string(batch[i].e.Raw)
+		if k, ok := pos[key]; !ok {
+			pos[key] = len(keys)
+			keys = append(keys, key)
+			last = append(last, i)
+		} else if batch[i].seq > batch[last[k]].seq {
+			last[k] = i
 		}
-		final[key] = len(ops)
-		ops = append(ops, finalOp{del: o.del, e: o.e})
-		keys = append(keys, key)
 	}
 
 	shards := *t.shards.Load()
-	buckets := make(map[int][]int) // shard index → indices into ops
-	for i, key := range keys {
+	buckets := make(map[int][]int) // shard index → indices into keys
+	for k, key := range keys {
 		si := ShardOf([]byte(key), len(shards))
-		buckets[si] = append(buckets[si], i)
+		buckets[si] = append(buckets[si], k)
 	}
 	for si, idxs := range buckets {
 		s := shards[si]
 		s.mu.Lock()
-		sn := s.snap.Load()
-		adds := sn.adds
-		delB := sn.delBase
-		addsCloned, delCloned := false, false
-		pendOps, pendBytes := sn.pendOps, sn.pendBytes
-		changed := false
-		for _, oi := range idxs {
-			o := ops[oi]
-			key := keys[oi]
+		var ns *snapshot // staged lazily: a batch of no-ops publishes nothing
+		for _, k := range idxs {
+			o, key := &batch[last[k]], keys[k]
+			if _, live := s.liveID[key]; live != o.del {
+				continue // deleting an absent or inserting a live pattern: no-op upsert semantics
+			}
+			if ns == nil {
+				ns = s.snap.Load().derive()
+			}
 			if o.del {
-				if _, live := s.liveID[key]; !live {
-					continue // deleting an absent pattern: no-op upsert semantics
-				}
-				delete(s.liveID, key)
-				s.liveBytes -= len(o.e.Enc)
-				s.pending = append(s.pending, op{del: true, e: o.e})
-				pendOps++
-				pendBytes += len(o.e.Enc)
-				if bi, inBase := s.baseIdx[key]; inBase && !delB[bi] {
-					if !delCloned {
-						nd := make(map[int32]bool, len(delB)+1)
-						for k, v := range delB {
-							nd[k] = v
-						}
-						delB, delCloned = nd, true
-					}
-					delB[bi] = true
-				} else {
-					if !addsCloned {
-						adds, addsCloned = append([]Entry(nil), adds...), true
-					}
-					for i := range adds {
-						if string(adds[i].Raw) == key {
-							adds = append(adds[:i], adds[i+1:]...)
-							break
-						}
-					}
-				}
+				s.applyDelete(ns, key, o.e)
 			} else {
-				if _, dup := s.liveID[key]; dup {
-					continue // duplicate insert: no-op upsert semantics
-				}
-				s.liveID[key] = o.e.ID
-				s.liveBytes += len(o.e.Enc)
-				if len(o.e.Enc) > s.maxLen {
-					s.maxLen = len(o.e.Enc)
-				}
-				s.pending = append(s.pending, op{e: o.e})
-				pendOps++
-				pendBytes += len(o.e.Enc)
-				if !addsCloned {
-					adds, addsCloned = append([]Entry(nil), adds...), true
-				}
-				adds = append(adds, o.e)
+				s.applyInsert(ns, o.e)
 			}
-			changed = true
 		}
-		if changed {
-			ns := &snapshot{
-				base: sn.base, baseEnt: sn.baseEnt, baseLen: sn.baseLen,
-				adds: adds, delBase: delB,
-				pendOps: pendOps, pendBytes: pendBytes, epoch: sn.epoch,
-			}
-			ns.sortAdds()
-			s.snap.Store(ns)
-			t.maybeSchedule(s, ns)
+		if ns != nil {
+			s.publish(ns)
 		}
 		s.mu.Unlock()
 	}

@@ -302,9 +302,9 @@ func TestCleanSnapshotFastPath(t *testing.T) {
 	// and matching must serve straight off the base engines.
 	for _, s := range *set.shards.Load() {
 		sn := s.snap.Load()
-		if len(sn.adds) != 0 || len(sn.delBase) != 0 || sn.pendOps != 0 {
+		if len(sn.adds) != 0 || sn.delBase.n != 0 || sn.pendOps != 0 {
 			t.Fatalf("shard not clean after Reconcile: adds=%d del=%d pend=%d",
-				len(sn.adds), len(sn.delBase), sn.pendOps)
+				len(sn.adds), sn.delBase.n, sn.pendOps)
 		}
 		if sn.base != nil && len(sn.baseLen) != len(sn.baseEnt) {
 			t.Fatalf("baseLen len %d != baseEnt len %d", len(sn.baseLen), len(sn.baseEnt))

@@ -13,8 +13,9 @@
 // only the affected shard's compiled base off the hot path — triggered,
 // table-doubling style, once the log outgrows a fraction of the shard's size —
 // then atomically swaps the fresh snapshot in. Matching therefore keeps the
-// static engine's Θ(n·log m) per-shard cost (plus a small bounded overlay
-// surcharge), while updates land in O(1) log appends amortized against
+// static engine's Θ(n·log m) per-shard cost (plus O(1) per position for each
+// length class of pending inserts, screened by a fingerprint index — see
+// overlay.go), while updates land in O(1) log appends amortized against
 // per-shard rebuild work.
 //
 // Linearizability: a completed Insert/Delete has published its snapshot before
@@ -28,7 +29,6 @@ package shard
 import (
 	"errors"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +61,11 @@ var (
 	metMergedOps     obs.Counter
 	metPhaseSwitches obs.Counter
 	metMergeNs       = obs.NewHistogram(obs.ExpBounds(10_000, 4, 12))
+
+	// Overlay screen, summed once per scan: (position, length class) probes
+	// the fingerprint filter passed, and bucket candidates verified.
+	metOverlayScreened obs.Counter
+	metOverlayVerified obs.Counter
 )
 
 // Metrics is a snapshot of the process-wide shard counters.
@@ -76,6 +81,9 @@ type Metrics struct {
 	MergedOps     int64
 	PhaseSwitches int64
 	MergeNs       obs.HistSnapshot
+
+	OverlayScreened int64
+	OverlayVerified int64
 }
 
 // GlobalMetrics snapshots the process-wide shard observability state.
@@ -92,6 +100,9 @@ func GlobalMetrics() Metrics {
 		MergedOps:     metMergedOps.Load(),
 		PhaseSwitches: metPhaseSwitches.Load(),
 		MergeNs:       metMergeNs.Snapshot(),
+
+		OverlayScreened: metOverlayScreened.Load(),
+		OverlayVerified: metOverlayVerified.Load(),
 	}
 }
 
@@ -111,16 +122,20 @@ type op struct {
 }
 
 // snapshot is the immutable published state of one shard: a compiled static
-// base plus the pending overlay (inserts not yet compiled in, base indices
-// pending deletion). Readers pin it, use it, unpin it; nothing in it is ever
-// mutated after publication.
+// base plus the pending overlay (inserts not yet compiled in, tombstones for
+// deletions since). Readers pin it, use it, unpin it; nothing a snapshot can
+// read is mutated after publication (overlay.go: the index appends beyond
+// it).
 type snapshot struct {
-	base     *core.Dict     // compiled general engine over baseEnt (nil ⇔ no base patterns)
-	baseEnt  []Entry        // base patterns, index-aligned with base's pattern ids
-	baseLen  []int32        // encoded length per base entry (shared across derived snapshots)
-	adds     []Entry        // pending inserts, arrival order
-	addsDesc []int32        // indices into adds, longest pattern first (tie: arrival)
-	delBase  map[int32]bool // base indices pending deletion
+	base    *core.Dict // compiled general engine over baseEnt (nil ⇔ no base patterns)
+	baseEnt []Entry    // base patterns, index-aligned with base's pattern ids
+	baseLen []int32    // encoded length per base entry (shared across derived snapshots)
+	delBase tombs      // base indices pending deletion
+
+	adds    []Entry          // pending inserts, arrival order, append-only per generation
+	delAdds tombs            // indices into adds deleted since
+	ov      *ovIndex         // fingerprint index over adds (nil: none yet)
+	ovLive  [ovClasses]int32 // live adds per length class
 
 	pendOps   int // log records since base was compiled
 	pendBytes int // Σ encoded length over those records
@@ -129,16 +144,15 @@ type snapshot struct {
 	pins  atomic.Int64 // readers currently inside a scan of this snapshot
 }
 
-// sortAdds (re)derives addsDesc. Called once per snapshot construction, under
-// the owning shard's writer lock.
-func (sn *snapshot) sortAdds() {
-	sn.addsDesc = make([]int32, len(sn.adds))
-	for i := range sn.addsDesc {
-		sn.addsDesc[i] = int32(i)
+// derive starts the next snapshot of the same generation: it shares sn's
+// base, adds, index and tombstones (a write then appends or copies on
+// write). Called under the owning shard's writer lock.
+func (sn *snapshot) derive() *snapshot {
+	return &snapshot{
+		base: sn.base, baseEnt: sn.baseEnt, baseLen: sn.baseLen, delBase: sn.delBase,
+		adds: sn.adds, delAdds: sn.delAdds, ov: sn.ov, ovLive: sn.ovLive,
+		pendOps: sn.pendOps, pendBytes: sn.pendBytes, epoch: sn.epoch,
 	}
-	sort.SliceStable(sn.addsDesc, func(a, b int) bool {
-		return len(sn.adds[sn.addsDesc[a]].Enc) > len(sn.adds[sn.addsDesc[b]].Enc)
-	})
 }
 
 // Shard is one partition: the published snapshot plus the writer-side state
@@ -152,6 +166,7 @@ type Shard struct {
 
 	liveID    map[string]int32 // content → id for every live pattern
 	baseIdx   map[string]int32 // content → index in the current compiled base
+	addIdx    map[string]int32 // content → index in adds, live pending inserts only
 	pending   []op             // mutation log since the current base
 	baseBytes int              // Σ encoded length of base entries
 	liveBytes int              // Σ encoded length of live patterns
@@ -183,15 +198,13 @@ func (s *Shard) unpin(sn *snapshot) {
 	s.set.pinned.Add(-1)
 }
 
-// Rebuild-trigger thresholds (table-doubling style: amortize each base
+// Rebuild-trigger threshold (table-doubling style: amortize each base
 // recompile against the log that forced it). A shard reconciles once its log
-// holds at least minPendingBytes AND at least a quarter of the compiled base,
-// or unconditionally once the log reaches maxPendingOps records (bounding the
-// per-scan overlay surcharge for tiny patterns).
-const (
-	defaultMinPendingBytes = 512
-	defaultMaxPendingOps   = 128
-)
+// holds at least minPendingBytes AND at least a quarter of the compiled base.
+// The fingerprint-screened overlay costs a scan O(1) per position however
+// many inserts are pending, so no op-count cap is needed; the maxPendingOps
+// arm of SetRebuildThresholds exists for tests.
+const defaultMinPendingBytes = 512
 
 // Set is the sharded dictionary: the shard array (swapped wholesale by
 // Replace), the global id allocator, and the background reconciler.
@@ -211,7 +224,9 @@ type Set struct {
 	gate atomic.Pointer[func()] // test hook: invoked mid-rebuild, off every lock
 
 	minPendingBytes int
-	maxPendingOps   int
+	maxPendingOps   int // 0: no op-count trigger
+
+	ovRadix, ovMixer uint64 // overlay fingerprint parameters (tests force collisions)
 
 	screen func(*core.Dict) // run on every compiled base: the wide prefilter (nil: none, tests only)
 
@@ -257,7 +272,8 @@ func New(nShards int, newCtx func() *pram.Ctx) *Set {
 		rebuildCh:       make(chan *Shard, 256),
 		quit:            make(chan struct{}),
 		minPendingBytes: defaultMinPendingBytes,
-		maxPendingOps:   defaultMaxPendingOps,
+		ovRadix:         ovRadix,
+		ovMixer:         ovMixer,
 		screen:          (*core.Dict).EnablePrefilterWide,
 	}
 	shards := make([]*Shard, nShards)
@@ -279,6 +295,7 @@ func (t *Set) freshShard(ents []Entry, base *core.Dict) *Shard {
 		set:     t,
 		liveID:  make(map[string]int32, len(ents)),
 		baseIdx: make(map[string]int32, len(ents)),
+		addIdx:  map[string]int32{},
 	}
 	lens := make([]int32, len(ents))
 	for i, e := range ents {
@@ -291,13 +308,13 @@ func (t *Set) freshShard(ents []Entry, base *core.Dict) *Shard {
 		}
 	}
 	s.liveBytes = s.baseBytes
-	sn := &snapshot{base: base, baseEnt: ents, baseLen: lens, delBase: map[int32]bool{}}
-	sn.sortAdds()
-	s.snap.Store(sn)
+	s.snap.Store(&snapshot{base: base, baseEnt: ents, baseLen: lens})
 	return s
 }
 
-// SetRebuildThresholds overrides the reconciliation trigger (test hook).
+// SetRebuildThresholds overrides the reconciliation trigger (test hook):
+// minBytes replaces the 512-byte floor, and maxOps > 0 also rebuilds a shard
+// once its log holds that many records.
 func (t *Set) SetRebuildThresholds(minBytes, maxOps int) {
 	t.minPendingBytes = minBytes
 	t.maxPendingOps = maxOps
@@ -343,10 +360,10 @@ func ShardOf(raw []byte, n int) int {
 }
 
 // Insert adds a live pattern and returns its id. In the joined phase this is
-// an O(1) log append plus an O(pending) overlay refresh under the shard lock,
+// an O(1) amortized log append and overlay-index append under the shard lock,
 // published atomically — visible to every scan that starts after Insert
 // returns. In the split phase it is a lock-striped append to a private log
-// (no shard lock, no overlay refresh, no duplicate check): the coordinator
+// (no shard lock, no snapshot publish, no duplicate check): the coordinator
 // merges last-writer-wins within the staleness bound, and a duplicate insert
 // resolves to a no-op at merge rather than ErrDuplicate here. The compile
 // cost is paid later, amortized, by the reconciler either way.
@@ -379,38 +396,46 @@ func (t *Set) Insert(raw []byte, enc []int32) (int32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	key := string(raw)
-	if _, dup := s.liveID[key]; dup {
+	if _, dup := s.liveID[string(raw)]; dup {
 		return 0, ErrDuplicate
 	}
 	id := t.nextID.Add(1) - 1
-	e := Entry{ID: id, Raw: append([]byte(nil), raw...), Enc: enc}
-	s.liveID[key] = id
-	s.liveBytes += len(enc)
-	if len(enc) > s.maxLen {
-		s.maxLen = len(enc)
-	}
-	s.pending = append(s.pending, op{e: e})
-
-	sn := s.snap.Load()
-	ns := &snapshot{
-		base: sn.base, baseEnt: sn.baseEnt, baseLen: sn.baseLen, delBase: sn.delBase,
-		// Appending to the latest snapshot's adds is safe: writers are
-		// serialized under mu, and a slot beyond an older snapshot's len is
-		// never read through that snapshot.
-		adds:      append(sn.adds, e),
-		pendOps:   sn.pendOps + 1,
-		pendBytes: sn.pendBytes + len(enc),
-		epoch:     sn.epoch,
-	}
-	ns.sortAdds()
-	s.snap.Store(ns)
-	t.maybeSchedule(s, ns)
+	ns := s.snap.Load().derive()
+	s.applyInsert(ns, Entry{ID: id, Raw: append([]byte(nil), raw...), Enc: enc})
+	s.publish(ns)
 	return id, nil
 }
 
+// applyInsert records a new live pattern e in the writer state and stages it
+// into ns. Caller holds mu and has checked e is not live.
+func (s *Shard) applyInsert(ns *snapshot, e Entry) {
+	s.liveID[string(e.Raw)] = e.ID
+	s.liveBytes += len(e.Enc)
+	s.maxLen = max(s.maxLen, len(e.Enc))
+	s.pending = append(s.pending, op{e: e})
+	s.stageInsert(ns, e)
+}
+
+// applyDelete retires the live pattern key (e carries its bytes) from the
+// writer state and tombstones it in ns. Caller holds mu and has checked key
+// is live.
+func (s *Shard) applyDelete(ns *snapshot, key string, e Entry) {
+	delete(s.liveID, key)
+	s.liveBytes -= len(e.Enc)
+	s.pending = append(s.pending, op{del: true, e: e})
+	s.stageDelete(ns, key, len(e.Enc))
+}
+
+// publish makes ns the shard's snapshot and checks the rebuild trigger.
+// Caller holds mu.
+func (s *Shard) publish(ns *snapshot) {
+	s.snap.Store(ns)
+	s.set.maybeSchedule(s, ns)
+}
+
 // Delete removes a live pattern (by content). Joined phase: an O(1) log
-// append plus an O(pending) overlay refresh, published atomically. Split
+// append plus a tombstone bit (one copied bitset page), published
+// atomically. Split
 // phase: a private-log append with no liveness check — deleting an absent
 // pattern resolves to a no-op at merge rather than ErrNotFound here.
 func (t *Set) Delete(raw []byte, enc []int32) error {
@@ -444,38 +469,9 @@ func (t *Set) Delete(raw []byte, enc []int32) error {
 	if !ok {
 		return ErrNotFound
 	}
-	delete(s.liveID, key)
-	s.liveBytes -= len(enc)
-	s.pending = append(s.pending, op{del: true, e: Entry{ID: id, Raw: append([]byte(nil), raw...), Enc: enc}})
-
-	sn := s.snap.Load()
-	ns := &snapshot{
-		base: sn.base, baseEnt: sn.baseEnt, baseLen: sn.baseLen,
-		pendOps:   sn.pendOps + 1,
-		pendBytes: sn.pendBytes + len(enc),
-		epoch:     sn.epoch,
-	}
-	if bi, inBase := s.baseIdx[key]; inBase && !sn.delBase[bi] {
-		del := make(map[int32]bool, len(sn.delBase)+1)
-		for k, v := range sn.delBase {
-			del[k] = v
-		}
-		del[bi] = true
-		ns.delBase = del
-		ns.adds = sn.adds
-	} else {
-		// The live instance is a pending insert: drop it from the overlay.
-		ns.delBase = sn.delBase
-		ns.adds = make([]Entry, 0, len(sn.adds))
-		for _, a := range sn.adds {
-			if string(a.Raw) != key {
-				ns.adds = append(ns.adds, a)
-			}
-		}
-	}
-	ns.sortAdds()
-	s.snap.Store(ns)
-	t.maybeSchedule(s, ns)
+	ns := s.snap.Load().derive()
+	s.applyDelete(ns, key, Entry{ID: id, Raw: append([]byte(nil), raw...), Enc: enc})
+	s.publish(ns)
 	return nil
 }
 
@@ -518,7 +514,7 @@ func (t *Set) Has(raw []byte) bool {
 // maybeSchedule enqueues the shard for reconciliation once its log crosses
 // the amortization threshold. Called with the shard's mu held.
 func (t *Set) maybeSchedule(s *Shard, sn *snapshot) {
-	trigger := sn.pendOps >= t.maxPendingOps ||
+	trigger := (t.maxPendingOps > 0 && sn.pendOps >= t.maxPendingOps) ||
 		(sn.pendBytes >= t.minPendingBytes && 4*sn.pendBytes >= s.baseBytes)
 	if !trigger {
 		return
@@ -587,13 +583,17 @@ func (t *Set) rebuild(s *Shard) {
 
 	// Compile off the hot path. The snapshot is immutable, so reading it
 	// outside the lock is safe.
-	eff := make([]Entry, 0, len(sn.baseEnt)+len(sn.adds))
+	eff := make([]Entry, 0, len(sn.baseEnt)-sn.delBase.n+sn.liveAdds())
 	for i, e := range sn.baseEnt {
-		if !sn.delBase[int32(i)] {
+		if !sn.delBase.has(int32(i)) {
 			eff = append(eff, e)
 		}
 	}
-	eff = append(eff, sn.adds...)
+	for i, e := range sn.adds {
+		if !sn.delAdds.has(int32(i)) {
+			eff = append(eff, e)
+		}
+	}
 	encs := make([][]int32, len(eff))
 	effLen := make([]int32, len(eff))
 	baseBytes := 0
@@ -618,24 +618,25 @@ func (t *Set) rebuild(s *Shard) {
 	}
 
 	// Swap: replay whatever arrived during the compile onto the new base,
-	// then publish. One pointer store; readers never wait.
+	// through the same staging as a write, then publish. One pointer store;
+	// readers never wait. A replayed delete's target was live when logged, so
+	// it is in the new base or an earlier replayed insert.
 	s.mu.Lock()
 	rem := s.pending[k:]
-	adds, delb, remBytes := replay(rem, newIdx)
 	s.pending = append([]op(nil), rem...)
 	s.baseIdx = newIdx
+	s.addIdx = map[string]int32{}
 	s.baseBytes = baseBytes
 	s.maxLen = base.MaxLen()
-	for _, a := range adds {
-		if len(a.Enc) > s.maxLen {
-			s.maxLen = len(a.Enc)
+	ns := &snapshot{base: base, baseEnt: eff, baseLen: effLen, epoch: sn.epoch + 1}
+	for _, o := range rem {
+		if o.del {
+			s.stageDelete(ns, string(o.e.Raw), len(o.e.Enc))
+		} else {
+			s.maxLen = max(s.maxLen, len(o.e.Enc))
+			s.stageInsert(ns, o.e)
 		}
 	}
-	ns := &snapshot{
-		base: base, baseEnt: eff, baseLen: effLen, adds: adds, delBase: delb,
-		pendOps: len(rem), pendBytes: remBytes, epoch: sn.epoch + 1,
-	}
-	ns.sortAdds()
 	s.snap.Store(ns)
 	s.queued.Store(false)
 	s.mu.Unlock()
@@ -653,36 +654,6 @@ func (t *Set) rebuild(s *Shard) {
 	s.mu.Lock()
 	t.maybeSchedule(s, s.snap.Load())
 	s.mu.Unlock()
-}
-
-// replay folds log records that arrived during a compile onto the new base:
-// inserts become overlay adds; deletes cancel a local add or mark a new-base
-// index. Records always resolve — a delete's target was live when logged, so
-// it is either in the new base or in an earlier record of the same slice.
-func replay(rem []op, newIdx map[string]int32) (adds []Entry, delb map[int32]bool, bytes int) {
-	delb = map[int32]bool{}
-	for _, o := range rem {
-		bytes += len(o.e.Enc)
-		key := string(o.e.Raw)
-		if !o.del {
-			adds = append(adds, o.e)
-			continue
-		}
-		dropped := false
-		for i := range adds {
-			if string(adds[i].Raw) == key {
-				adds = append(adds[:i], adds[i+1:]...)
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			if bi, ok := newIdx[key]; ok {
-				delb[bi] = true
-			}
-		}
-	}
-	return adds, delb, bytes
 }
 
 // Replace atomically substitutes the whole dictionary: every pattern set is

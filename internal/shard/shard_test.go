@@ -126,7 +126,7 @@ func TestReconcileFoldsLog(t *testing.T) {
 	}
 	checkMatch(t, set, "xxalphabetagammaxx", live)
 
-	// Delete a now-compiled pattern: served through the delBase overlay.
+	// Delete a now-compiled pattern: served through the base tombstones.
 	if err := set.Delete([]byte("beta"), enc("beta")); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
