@@ -59,6 +59,10 @@
 //	dictserve -dict patterns.txt [-addr :8844] [-shards S] [-procs N]
 //	dictserve -load compiled.pdm
 //	dictserve                       (start empty; populate via /patterns)
+//
+// -shards defaults to one partition, so each scan runs one cascade over one
+// pinned snapshot. Every partition scans the whole text, so S > 1 multiplies
+// scan CPU by S; set it only to split rebuilds and write locks S ways.
 package main
 
 import (
@@ -84,7 +88,7 @@ func main() {
 		dictPath = flag.String("dict", "", "file with one pattern per line")
 		loadPath = flag.String("load", "", "compiled dictionary (see dictmatch -compile)")
 		addr     = flag.String("addr", ":8844", "listen address")
-		shards   = flag.Int("shards", 0, "dictionary partitions (0 = GOMAXPROCS, capped at 32)")
+		shards   = flag.Int("shards", 0, "dictionary partitions; each adds a full cascade to every scan (0 = 1)")
 		procs    = flag.Int("procs", 0, "parallelism (0 = GOMAXPROCS)")
 		wphase   = flag.String("writephase", "joined", "mutation coordination: joined (read-your-writes), auto (switch to per-core logs under write storms), split (force per-core logs)")
 		maxBody  = flag.Int64("maxbody", 16<<20, "maximum request body size in bytes")
@@ -124,7 +128,7 @@ func main() {
 		log.Fatal(err)
 	}
 	st := m.Stats()
-	log.Printf("serving %d patterns (m=%d, M=%d, shards=%d) on %s",
+	log.Printf("serving %d patterns (m=%d, M=%d) from %d shard(s), one cascade each per scan, on %s",
 		st.Patterns, st.MaxLen, st.Size, st.Shards, ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

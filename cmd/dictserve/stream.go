@@ -310,15 +310,17 @@ func (t *streamTier) janitor() {
 				stale := hs.lastUsed < cutoff
 				hs.mu.Unlock()
 				if stale {
+					// Counted as it leaves the table, so a caller that
+					// no longer finds the stream also sees the eviction.
 					delete(t.streams, id)
+					t.evictions.Inc()
+					t.expired.Inc()
 					victims = append(victims, hs)
 				}
 			}
 			t.mu.Unlock()
 			for _, hs := range victims {
 				hs.close()
-				t.evictions.Inc()
-				t.expired.Inc()
 			}
 		}
 	}

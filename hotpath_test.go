@@ -312,19 +312,25 @@ func shardedPinSet(rng *rand.Rand) [][]byte {
 }
 
 // TestShardedMatchAllocs extends the Matcher zero-alloc pin to the sharded
-// path: a warmed, reconciled S=4 ShardedMatcher scan that is Released
-// allocates the same small number of times for a 4 KiB and a 64 KiB text —
-// per-shard and merge buffers all come from the slab pools, so nothing
-// allocated is proportional to n. What remains is per scan, not per byte:
-// one execution context per shard and one for the merge (S+1), one
-// goroutine per shard but the caller's (S-1), and the result header, the
-// context-builder closure and the profiler-label frame of MatchContext.
+// path: a warmed, reconciled ShardedMatcher scan that is Released allocates
+// the same small number of times for a 4 KiB and a 64 KiB text — per-shard
+// and merge buffers all come from the slab pools, so nothing allocated is
+// proportional to n. What remains is per scan, not per byte: one execution
+// context per shard and one for the merge (S+1), one goroutine per shard but
+// the caller's (S-1), and the result header, the context-builder closure and
+// the profiler-label frame of MatchContext. It runs at S = 4 (limit 2S+8)
+// and at the default S = 1 (limit 10).
 func TestShardedMatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime defeats sync.Pool caching and allocates on its own; alloc counts are meaningless under -race")
 	}
-	const S = 4
-	const maxAllocs = 2*S + 8
+	for _, S := range []int{4, 1} {
+		t.Run(fmt.Sprintf("S%d", S), func(t *testing.T) { shardedMatchAllocs(t, S) })
+	}
+}
+
+func shardedMatchAllocs(t *testing.T, S int) {
+	maxAllocs := float64(2*S + 8)
 	rng := rand.New(rand.NewSource(41))
 	patterns := shardedPinSet(rng)
 	m, err := NewShardedMatcher(WithShards(S))
@@ -352,7 +358,7 @@ func TestShardedMatchAllocs(t *testing.T) {
 		}
 		avg := testing.AllocsPerRun(100, scan)
 		if avg > maxAllocs {
-			t.Fatalf("n=%d: warmed sharded scan allocates %.1f times; want ≤ %d", n, avg, maxAllocs)
+			t.Fatalf("n=%d: warmed sharded scan allocates %.1f times; want ≤ %.0f", n, avg, maxAllocs)
 		}
 		counts = append(counts, avg)
 	}

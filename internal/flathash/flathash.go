@@ -18,10 +18,15 @@
 // must not overlap writers.
 package flathash
 
-// fib64 is the Fibonacci multiplier 2^64/φ used to spread uint64 keys; the
-// high bits of k*fib64 index the table and bits 48..55 provide the
-// fingerprint, so the two are decorrelated for any table size below 2^48.
+// fib64 is the Fibonacci multiplier 2^64/φ used to spread uint64 keys: the
+// top log₂(size) bits of k*fib64 pick the home slot.
 const fib64 = 0x9E3779B97F4A7C15
+
+// fpMul derives the fingerprint from a second, independent product. Tag bits
+// taken from k*fib64 would overlap the home-slot bits once the table reaches
+// 512 slots, and from 2^16 slots on every key sharing a home slot would share
+// its tag too, so the tag would reject nothing within a probe cluster.
+const fpMul = 0xD6E8FEB86659FD93
 
 // minSize keeps even tiny tables one cache line wide so the first probes of
 // a growing table never rehash more than a handful of entries.
@@ -66,9 +71,10 @@ func (m *Map[V]) init(size int) {
 	m.n = 0
 }
 
-// fingerprint derives the nonzero 8-bit tag stored in the fps array.
-func fingerprint(h uint64) uint8 {
-	fp := uint8(h >> 48)
+// fingerprint derives the nonzero 8-bit tag of key k stored in the fps
+// array.
+func fingerprint(k uint64) uint8 {
+	fp := uint8((k * fpMul) >> 56)
 	if fp == 0 {
 		fp = 1
 	}
@@ -84,9 +90,8 @@ func (m *Map[V]) Get(k uint64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	h := k * fib64
-	fp := fingerprint(h)
-	i := h >> m.shift
+	fp := fingerprint(k)
+	i := (k * fib64) >> m.shift
 	for {
 		f := m.fps[i]
 		if f == 0 {
@@ -128,9 +133,8 @@ func (m *Map[V]) slot(k uint64) (uint64, bool) {
 	if m.fps == nil {
 		m.init(minSize)
 	}
-	h := k * fib64
-	fp := fingerprint(h)
-	i := h >> m.shift
+	fp := fingerprint(k)
+	i := (k * fib64) >> m.shift
 	for {
 		f := m.fps[i]
 		if f == 0 {
@@ -149,7 +153,7 @@ func (m *Map[V]) insertAt(i uint64, k uint64, v V) {
 		m.grow()
 		i, _ = m.slot(k)
 	}
-	m.fps[i] = fingerprint(k * fib64)
+	m.fps[i] = fingerprint(k)
 	m.keys[i] = k
 	m.vals[i] = v
 	m.n++

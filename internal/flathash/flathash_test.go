@@ -70,6 +70,42 @@ func TestGrowthKeepsEntries(t *testing.T) {
 	}
 }
 
+// TestFingerprintIndependentOfHome: keys that share a home slot must not
+// share a tag by construction, or the fingerprint array rejects nothing
+// within their probe cluster. In a 2^16-slot table the home index is the top
+// 16 bits of k*fib64, so tag bits taken from that product would be fixed by
+// the home slot.
+func TestFingerprintIndependentOfHome(t *testing.T) {
+	m := New[int32](1 << 15)
+	if len(m.fps) != 1<<16 {
+		t.Fatalf("table has %d slots, want 2^16", len(m.fps))
+	}
+	// inv is fib64's multiplicative inverse mod 2^64 (Newton iteration), so
+	// h*inv is a key whose product with fib64 is exactly h.
+	inv := uint64(fib64)
+	for i := 0; i < 6; i++ {
+		inv *= 2 - fib64*inv
+	}
+	const home = 0x1234
+	rng := rand.New(rand.NewSource(7))
+	tags := map[uint8]bool{}
+	for i := 0; i < 32; i++ {
+		k := (uint64(home)<<48 | rng.Uint64()>>16) * inv
+		if got := (k * fib64) >> m.shift; got != home {
+			t.Fatalf("key %#x: home slot %#x, want %#x", k, got, home)
+		}
+		m.Put(k, int32(i))
+		j, ok := m.slot(k)
+		if !ok {
+			t.Fatalf("key %#x lost", k)
+		}
+		tags[m.fps[j]] = true
+	}
+	if len(tags) < 2 {
+		t.Fatalf("32 keys sharing home slot %#x all carry tag(s) %v", home, tags)
+	}
+}
+
 // TestDeleteChurn interleaves inserts and deletes against a map oracle so
 // backward-shift deletion is exercised across cluster boundaries.
 func TestDeleteChurn(t *testing.T) {

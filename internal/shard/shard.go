@@ -260,9 +260,10 @@ type Set struct {
 	phaseSwitches atomic.Int64
 }
 
-// New returns an empty sharded dictionary with nShards partitions. newCtx
-// supplies execution contexts for background rebuilds (it must be safe to
-// call from any goroutine). Close must be called to stop the reconciler.
+// New returns an empty sharded dictionary with nShards partitions (at least
+// one). newCtx supplies execution contexts for background rebuilds (it must
+// be safe to call from any goroutine). Close must be called to stop the
+// reconciler.
 func New(nShards int, newCtx func() *pram.Ctx) *Set {
 	if nShards < 1 {
 		nShards = 1

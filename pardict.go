@@ -199,11 +199,11 @@ func WithPrefilter(mode PrefilterMode) Option {
 	return func(c *config) { c.prefilter = mode }
 }
 
-// WithShards sets the partition count of a ShardedMatcher (ignored by the
-// other matcher kinds). Zero — the default — picks one shard per core
-// (GOMAXPROCS), capped at 32: every shard scans the whole text, so each one
-// adds a full cascade to every read, and one per core is the fewest that
-// still keeps the pool busy during a scan.
+// WithShards sets the partition count S of a ShardedMatcher (ignored by the
+// other matcher kinds). Zero or less — the default — means one partition.
+// Every partition scans the whole text, so each one adds a full
+// Θ(n·log m) cascade to every read; S > 1 buys shorter rebuilds and
+// per-partition write locks, not faster scans (DESIGN.md §9).
 func WithShards(s int) Option {
 	return func(c *config) { c.shards = s }
 }

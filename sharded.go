@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 
@@ -44,13 +43,15 @@ func shardErr(err error) error {
 }
 
 // ShardedMatcher is the serving-oriented dictionary: the pattern set is
-// partitioned across S shards, each holding an immutable Theorem 1–3 engine
+// held in S partitions (one by default), each an immutable Theorem 1–3 engine
 // snapshot published through an atomic pointer (RCU). Scans pin the current
-// snapshots, scatter one task per shard across the scheduler, and merge the
-// per-position longest matches; they never take a lock and never block on
-// writers. Insert and Delete are cheap log appends, visible to every
-// subsequent scan immediately; a background reconciler folds the logs into
-// fresh per-shard engine builds off the hot path and swaps them in.
+// snapshots, match each on the scheduler, and merge the per-position longest
+// matches; they never take a lock and never block on writers. Every
+// partition scans the whole text, so a scan costs S cascades: the default
+// single partition serves each scan from one snapshot at the cost of one.
+// Insert and Delete are cheap log appends, visible to every subsequent scan
+// immediately; a background reconciler folds the logs into fresh engine
+// builds off the hot path and swaps them in.
 //
 // All methods are safe for concurrent use from any number of goroutines.
 // Close releases the background reconciler; the matcher rejects mutations
@@ -65,25 +66,11 @@ type ShardedMatcher struct {
 	labels *pram.LevelLabels
 }
 
-// defaultShards picks the partition count: one shard per core
-// (GOMAXPROCS), capped at 32. Every shard scans the whole text (O(n·log m)
-// work whatever its share of the dictionary), so a served scan costs S
-// cascades; one per core still lets the shard tasks fill the pool.
-func defaultShards() int {
-	s := runtime.GOMAXPROCS(0)
-	if s > 32 {
-		s = 32
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// NewShardedMatcher returns an empty sharded dictionary. Use WithShards to
-// set the partition count, WithAlphabet/WithParallelism/WithPool as on the
-// other matcher kinds. Patterns are loaded with Insert, Reload, or
-// ReloadSaved. Call Close when done to stop the background reconciler.
+// NewShardedMatcher returns an empty sharded dictionary: one partition
+// unless WithShards asks for more. WithAlphabet/WithParallelism/WithPool
+// work as on the other matcher kinds. Patterns are loaded with Insert,
+// Reload, or ReloadSaved. Call Close when done to stop the background
+// reconciler.
 //
 // Every shard base is screened by the wide prefilter (PrefilterOn); a
 // ShardedMatcher exposes no prefix lengths, so the screen costs it nothing
@@ -94,15 +81,11 @@ func NewShardedMatcher(opts ...Option) (*ShardedMatcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	nShards := cfg.shards
-	if nShards <= 0 {
-		nShards = defaultShards()
-	}
 	m := &ShardedMatcher{cfg: cfg, enc: enc, labels: pram.NewLevelLabels(
 		pprof.WithLabels(context.Background(), pprof.Labels("engine", "sharded", "op", "match")))}
 	// Rebuild contexts carry the reconcile label so CPU profiles separate
 	// background compile cost from serving cost.
-	m.set = shard.New(nShards, func() *pram.Ctx {
+	m.set = shard.New(cfg.shards, func() *pram.Ctx {
 		ctx := cfg.newCtx()
 		obs.Do(nil, ctx.SetLabelContext, "engine", "sharded", "op", "reconcile")
 		return ctx

@@ -10,6 +10,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pardict/internal/alpha"
+	"pardict/internal/core"
+	"pardict/internal/pram"
 )
 
 func newSharded(t *testing.T, opts ...Option) *ShardedMatcher {
@@ -114,18 +118,49 @@ func TestShardedMatcherStatsAndReconcile(t *testing.T) {
 	}
 }
 
+// TestShardedDefaultShards pins the default partition count: one shard,
+// whatever GOMAXPROCS is. A reconciled default scan therefore charges
+// exactly one screened core.Dict cascade over the same patterns plus the
+// merge's single phase over n positions (n·S with S = 1).
 func TestShardedDefaultShards(t *testing.T) {
-	m := newSharded(t)
-	if want := defaultShards(); m.Shards() != want {
-		t.Fatalf("default shards = %d, want defaultShards() = %d", m.Shards(), want)
-	}
-	// One shard per core, capped at 32.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, tc := range []struct{ procs, want int }{{1, 1}, {2, 2}, {3, 3}, {16, 16}, {32, 32}, {33, 32}, {64, 32}} {
-		runtime.GOMAXPROCS(tc.procs)
-		if got := defaultShards(); got != tc.want {
-			t.Errorf("GOMAXPROCS %d: defaultShards() = %d, want %d", tc.procs, got, tc.want)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2, 16, 64} {
+		runtime.GOMAXPROCS(procs)
+		if got := newSharded(t).Shards(); got != 1 {
+			t.Errorf("GOMAXPROCS %d: default Shards() = %d, want 1", procs, got)
 		}
+	}
+	runtime.GOMAXPROCS(prev)
+
+	rng := rand.New(rand.NewSource(53))
+	patterns := shardedPinSet(rng)
+	text := randTextWithPlants(rng, patterns, 4<<10, 16)
+	m := newSharded(t)
+	if err := m.Reload(patterns); err != nil {
+		t.Fatal(err)
+	}
+	m.Reconcile()
+	r := m.Match(text)
+	defer r.Release()
+
+	enc := alpha.NewByteEncoder()
+	encs := make([][]int32, len(patterns))
+	for i, p := range patterns {
+		encs[i] = enc.Encode(p)
+	}
+	c := pram.New(0)
+	d, err := core.Preprocess(c, encs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.EnablePrefilterWide()
+	c.ResetStats()
+	d.Match(c, enc.Encode(text))
+	wantWork, wantDepth := c.Work()+int64(len(text)), c.Depth()+1
+	if st := r.Stats(); st.Work != wantWork || st.Depth != wantDepth {
+		t.Fatalf("default scan work/depth %d/%d, want one cascade %d/%d plus merge %d/1",
+			st.Work, st.Depth, c.Work(), c.Depth(), len(text))
 	}
 }
 
@@ -282,7 +317,8 @@ func randText(rng *rand.Rand, sigma, n int) []byte {
 }
 
 // TestShardedDifferential drives ≥4 writers and ≥8 readers against the
-// sharded matcher and the DynamicMatcher oracle, for σ ∈ {2, 256}. Writers
+// sharded matcher and the DynamicMatcher oracle, for σ ∈ {2, 256}, at S = 4
+// and at the default S = 1 (the S1/ cases). Writers
 // apply each mutation to both structures under the oracle's write lock (so
 // both observe the same serialized write history); readers scan both and
 // require identical per-position longest-match lengths — exact equality for
@@ -290,15 +326,18 @@ func randText(rng *rand.Rand, sigma, n int) []byte {
 // reader's (sharded scan, oracle scan) pair see the same prefix of writes.
 func TestShardedDifferential(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		sigma int
-		opts  []Option
+		name   string
+		sigma  int
+		shards int
+		opts   []Option
 	}{
-		{"sigma2", 2, []Option{WithAlphabet([]byte("ab"))}},
-		{"sigma256", 3, nil}, // raw-byte (σ=256) encoding; patterns over 3 letters keep matches plentiful
+		{"sigma2", 2, 4, []Option{WithAlphabet([]byte("ab"))}},
+		{"sigma256", 3, 4, nil}, // raw-byte (σ=256) encoding; patterns over 3 letters keep matches plentiful
+		{"S1/sigma2", 2, 1, []Option{WithAlphabet([]byte("ab"))}},
+		{"S1/sigma256", 3, 1, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newSharded(t, append([]Option{WithShards(4)}, tc.opts...)...)
+			m := newSharded(t, append([]Option{WithShards(tc.shards)}, tc.opts...)...)
 			m.set.SetRebuildThresholds(16, 24) // keep rebuilds frequent
 			o := newDynOracle(t, tc.opts...)
 
@@ -401,26 +440,33 @@ func TestShardedDifferential(t *testing.T) {
 }
 
 // TestShardedDifferentialScreened runs the screened shard bases under churn
-// in both write phases against the DynamicMatcher oracle. Automatic rebuilds
+// in both write phases against the DynamicMatcher oracle, at S = 4 and at the
+// default S = 1 (the S1/ cases). Automatic rebuilds
 // are off and Reconcile runs every few rounds, so scans see freshly compiled
 // (screened) bases, pending deletes that walk NextShorter from a screened
 // Pat[j], and overlay adds, in every mix. Each scan checks the longest
 // match per position, Count, and AllAt (dictserve's mode=all) against a
 // brute-force expansion of the live set.
 func TestShardedDifferentialScreened(t *testing.T) {
-	for _, wp := range []WritePhase{WritePhaseJoined, WritePhaseSplit} {
-		for _, tc := range []struct {
-			name  string
-			sigma int
-			opts  []Option
-		}{
-			{"sigma2", 2, []Option{WithAlphabet([]byte("ab"))}},
-			{"sigma256", 3, nil},
-		} {
-			t.Run(fmt.Sprintf("%v/%s", wp, tc.name), func(t *testing.T) {
-				screenedDifferential(t, tc.sigma, tc.opts, append([]Option{
-					WithShards(4), WithWritePhase(wp)}, tc.opts...))
-			})
+	for _, shards := range []int{4, 1} {
+		prefix := ""
+		if shards == 1 {
+			prefix = "S1/"
+		}
+		for _, wp := range []WritePhase{WritePhaseJoined, WritePhaseSplit} {
+			for _, tc := range []struct {
+				name  string
+				sigma int
+				opts  []Option
+			}{
+				{"sigma2", 2, []Option{WithAlphabet([]byte("ab"))}},
+				{"sigma256", 3, nil},
+			} {
+				t.Run(fmt.Sprintf("%s%v/%s", prefix, wp, tc.name), func(t *testing.T) {
+					screenedDifferential(t, tc.sigma, tc.opts, append([]Option{
+						WithShards(shards), WithWritePhase(wp)}, tc.opts...))
+				})
+			}
 		}
 	}
 }
@@ -567,9 +613,16 @@ func checkScreenedScan(t *testing.T, m *ShardedMatcher, o *dynOracle, live map[s
 // all), checking structural invariants on every result: a reported match must
 // be a pattern the matcher was actually given, occurring at that exact text
 // position, and a never-mutated core set must always be found. Run under
-// -race this also proves the RCU read side is data-race free.
+// -race this also proves the RCU read side is data-race free. It runs at
+// S = 4 and at the default S = 1.
 func TestShardedChaosInvariants(t *testing.T) {
-	m := newSharded(t, WithShards(4))
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("S%d", shards), func(t *testing.T) { shardedChaos(t, shards) })
+	}
+}
+
+func shardedChaos(t *testing.T, shards int) {
+	m := newSharded(t, WithShards(shards))
 	m.set.SetRebuildThresholds(16, 24)
 	core := []string{"aba", "bab", "aabb"}
 	shardedInsert(t, m, core...)

@@ -252,8 +252,15 @@ func TestShardedWriteStormSkewedHammer(t *testing.T) {
 // writers churn and readers scan: every transition drains under the epoch
 // barrier, so per-writer program order must survive arbitrarily placed
 // switches, and the quiesced state must match the dynamic oracle exactly.
+// It runs at S = 4 and at the default S = 1.
 func TestShardedPhaseSwitchChurn(t *testing.T) {
-	m := newSharded(t, WithShards(4))
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("S%d", shards), func(t *testing.T) { phaseSwitchChurn(t, shards) })
+	}
+}
+
+func phaseSwitchChurn(t *testing.T, shards int) {
+	m := newSharded(t, WithShards(shards))
 	m.set.SetPhasePolicy(shard.PhasePolicy{
 		MergeEvery:  250 * time.Microsecond,
 		DecideEvery: time.Millisecond,
