@@ -122,6 +122,45 @@ func TestPrefilterAutoMode(t *testing.T) {
 	}
 }
 
+// TestPrefilterAutoJudgesTwoStageScreen: Auto judges the screen it installs,
+// the wide kernel refined by the q-gram prefix screen. Thousands of random
+// byte patterns fill every wide bucket at every offset, yet their 4- and
+// 8-byte prefixes are rare in random text, so Auto keeps the screen; with
+// every one-byte pattern present no screen can pass less than everything,
+// so Auto still drops it.
+func TestPrefilterAutoJudgesTwoStageScreen(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	seen := map[string]bool{}
+	var wideBytes [][]byte
+	for len(wideBytes) < 4096 {
+		p := make([]byte, 4+rng.Intn(13))
+		rng.Read(p)
+		if !seen[string(p)] {
+			seen[string(p)] = true
+			wideBytes = append(wideBytes, p)
+		}
+	}
+	m, err := NewMatcher(wideBytes, WithEngine(EngineGeneral), WithPrefilter(PrefilterAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Match([]byte("hello world")).PrefixLen(0); ok {
+		t.Fatal("auto mode should keep the two-stage screen for random byte patterns (PrefixLen withheld)")
+	}
+
+	var every [][]byte
+	for b := 0; b < 256; b++ {
+		every = append(every, []byte{byte(b)})
+	}
+	m2, err := NewMatcher(every, WithEngine(EngineGeneral), WithPrefilter(PrefilterAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m2.Match([]byte("hello world")).PrefixLen(0); !ok {
+		t.Fatal("auto mode should not filter a dictionary of every one-byte pattern")
+	}
+}
+
 // TestMatchIntoReuse: one Matches reused across texts of different sizes must
 // agree with fresh Match calls.
 func TestMatchIntoReuse(t *testing.T) {

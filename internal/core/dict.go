@@ -81,11 +81,12 @@ type Dict struct {
 	// filter, when non-nil, screens text positions before the cascade (see
 	// EnablePrefilter). Execution-layer only: never part of Work/Depth.
 	filter *prefilter.Filter
-	// filterWide selects the wide-lane (8 positions/step, folded 8-bit
-	// bucket) kernel over the scalar SWAR screen. The wide kernel admits a
-	// superset of the scalar survivors (folding merges buckets mod 8), so
-	// it is interchangeable at the output level: both are one-sided, and
-	// the cascade verifies every survivor.
+	// filterWide selects the two-stage screen, the wide-lane (8
+	// positions/step, folded 8-bit bucket) kernel refined by the q-gram
+	// prefix screen, over the scalar SWAR screen. The screens bucket
+	// differently, so neither admits a subset of the other, but they are
+	// interchangeable at the output level: all are one-sided, and the
+	// cascade verifies every survivor.
 	filterWide bool
 
 	// Lazily built map-table baseline for the E15 hot-path experiment.
@@ -103,11 +104,12 @@ func (d *Dict) EnablePrefilter() {
 	d.filterWide = false
 }
 
-// EnablePrefilterWide is EnablePrefilter selecting the wide-lane kernel:
+// EnablePrefilterWide is EnablePrefilter selecting the two-stage screen:
 // eight text positions screened per step against folded 8-bit bucket masks
-// (prefilter.ScanWordsWide). Output and Work/Depth are identical to the
-// scalar filter — the wide screen passes a superset of the scalar survivors
-// and the cascade rejects every false positive — only wall clock changes.
+// (prefilter.ScanWordsWide), then the survivors refined by the exact q-gram
+// prefix screen (prefilter.RefineWords). Output and Work/Depth are identical
+// to the scalar filter — every screen is one-sided and the cascade rejects
+// every false positive — only wall clock changes.
 func (d *Dict) EnablePrefilterWide() {
 	d.filter = prefilter.Build(d.patterns)
 	d.filterWide = d.filter != nil
@@ -120,21 +122,21 @@ func (d *Dict) DisablePrefilter() {
 }
 
 // Filtered reports whether a prefilter is installed, and if so its estimated
-// pass rate on random byte text (a planning figure for the Auto mode). For a
-// wide filter the estimate is that of the folded tables the wide kernel
-// actually consults.
+// pass rate on random byte text (a planning figure for the Auto mode). For
+// the two-stage screen it is the smaller of the two stages' estimates: the
+// screen passes no more than either stage does.
 func (d *Dict) Filtered() (bool, float64) {
 	if d.filter == nil {
 		return false, 1
 	}
 	if d.filterWide {
-		return true, d.filter.EstimatedPassRateWide()
+		return true, min(d.filter.EstimatedPassRateWide(), d.filter.EstimatedPassRateQGram())
 	}
 	return true, d.filter.EstimatedPassRate()
 }
 
-// FilterWide reports whether the installed prefilter uses the wide-lane
-// kernel.
+// FilterWide reports whether the installed prefilter is the two-stage
+// screen led by the wide-lane kernel.
 func (d *Dict) FilterWide() bool { return d.filter != nil && d.filterWide }
 
 // PatternCount reports the number of patterns.

@@ -155,10 +155,15 @@ func newMatchState() *matchState {
 		}
 	}
 	ms.scanFn = func(wlo, whi int) {
+		f, text := ms.d.filter, ms.syms[0]
 		if ms.d.filterWide {
-			ms.d.filter.ScanWordsWide(ms.syms[0], ms.cand, wlo, whi)
+			// Two-stage screen: the q-gram prefix screen refines the wide
+			// kernel's survivors; both are one-sided, so their intersection
+			// is too.
+			f.ScanWordsWide(text, ms.cand, wlo, whi)
+			f.RefineWords(text, ms.cand, wlo, whi)
 		} else {
-			ms.d.filter.ScanWords(ms.syms[0], ms.cand, wlo, whi)
+			f.ScanWords(text, ms.cand, wlo, whi)
 		}
 	}
 	return ms

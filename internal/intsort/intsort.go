@@ -21,26 +21,32 @@ type Pair struct {
 	Idx int32
 }
 
-// Sort stably sorts ps by Key using LSD radix passes over only the digit
-// positions that vary (determined by the OR of all keys). Each pass is a
-// counting sort parallelized over input chunks.
+// Sort stably sorts ps by Key using LSD radix passes over only the digits
+// that vary across the keys (vary = OR ^ AND of all keys: a digit whose vary
+// byte is zero is the same in every key, and a stable pass on it is the
+// identity). Each pass is a counting sort parallelized over input chunks.
 func Sort(c *pram.Ctx, ps []Pair) {
 	n := len(ps)
 	if n <= 1 {
 		return
 	}
-	var or uint64
+	or, and := uint64(0), ^uint64(0)
 	for _, p := range ps {
 		or |= p.Key
+		and &= p.Key
 	}
+	vary := or ^ and
 	c.AddWork(int64(n))
 	c.AddDepth(1)
 
 	tmp := make([]Pair, n)
 	src, dst := ps, tmp
 	for shift := 0; shift < 64; shift += radixBits {
-		if or>>shift == 0 || c.Canceled() {
+		if vary>>shift == 0 || c.Canceled() {
 			break
+		}
+		if (vary>>shift)&radixMask == 0 {
+			continue
 		}
 		countingPass(c, src, dst, shift)
 		src, dst = dst, src

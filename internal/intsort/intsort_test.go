@@ -1,7 +1,9 @@
 package intsort
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -72,6 +74,29 @@ func TestSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortSkipsConstantDigits sorts keys whose middle digit (bits 24–31) is
+// a constant non-zero byte and whose high digits are constant too, the shape
+// of EncodePair keys with a fixed high half: the passes Sort skips must not
+// change the order, and equal keys keep their payload order.
+func TestSortSkipsConstantDigits(t *testing.T) {
+	c := pram.New(0)
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{2, 100, 5000} {
+		ps := make([]Pair, n)
+		for i := range ps {
+			lo := uint64(rng.Intn(1 << 12))  // bits 0–11 vary, with repeats
+			mid := uint64(rng.Intn(3)) << 32 // digit 4 varies a little
+			ps[i] = Pair{Key: 0xAB<<56 | 0x5C<<40 | mid | 0x7E<<24 | lo, Idx: int32(i)}
+		}
+		want := slices.Clone(ps)
+		slices.SortStableFunc(want, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+		Sort(c, ps)
+		if !slices.Equal(ps, want) {
+			t.Fatalf("n=%d: Sort differs from slices.SortStableFunc", n)
+		}
 	}
 }
 

@@ -215,3 +215,107 @@ func naiveMatchAt(patterns [][]int32, text []int32, j int) bool {
 	}
 	return false
 }
+
+// FuzzPrefilterQGram is the differential oracle for the two-stage screen:
+// the wide kernel's words refined by the q-gram prefix screen (RefineWords).
+//
+//  1. one-sidedness — every position where a pattern literally matches
+//     survives the refinement;
+//  2. refinement only removes — the refined bits are a subset of the wide
+//     bits;
+//  3. no stray candidate bits past the end of the text;
+//  4. cascade equivalence — the general engine's longest-pattern output and
+//     counted Work and Depth are identical with the screen off, scalar, and
+//     wide+q-gram.
+//
+// The seed corpus lives in testdata/fuzz/FuzzPrefilterQGram.
+func FuzzPrefilterQGram(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, np, sigmaSel, plant byte, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
+		sigma := fuzzSigmas[int(sigmaSel)%len(fuzzSigmas)]
+		rng := rand.New(rand.NewSource(seed))
+
+		patterns := fuzzPatterns(rng, 1+int(np)%40, sigma)
+		text := make([]int32, len(data))
+		for i, b := range data {
+			sym := int32(b)
+			if sigma > 256 {
+				sym = sym<<4 | int32(i)&15
+			}
+			text[i] = sym % sigma
+		}
+		plantOccurrences(rng, text, patterns, plant%4)
+
+		filt := prefilter.Build(patterns)
+		nw := (len(text) + 63) / 64
+		wide := make([]uint64, nw)
+		filt.ScanWordsWide(text, wide, 0, nw)
+		refined := append([]uint64(nil), wide...)
+		filt.RefineWords(text, refined, 0, nw)
+
+		// (1) ground truth survives the refinement.
+		for j := range text {
+			if naiveMatchAt(patterns, text, j) && refined[j/64]&(1<<uint(j%64)) == 0 {
+				t.Fatalf("q-gram screen killed true match start %d (σ=%d)", j, sigma)
+			}
+		}
+		// (2) the refinement only clears bits.
+		for w := range refined {
+			if refined[w]&^wide[w] != 0 {
+				t.Fatalf("word %d: refined %#x sets bits outside wide %#x", w, refined[w], wide[w])
+			}
+		}
+		// (3) bits past the text end stay clear.
+		for j := len(text); j < nw*64; j++ {
+			if refined[j/64]&(1<<uint(j%64)) != 0 {
+				t.Fatalf("stray refined candidate bit at %d past text end", j)
+			}
+		}
+
+		// (4) the three cascades agree on output and counted cost.
+		c := pram.New(1)
+		d, err := core.Preprocess(c, patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type armOut struct {
+			name        string
+			pat         []int32
+			work, depth int64
+		}
+		arms := []armOut{{name: "off"}, {name: "scalar"}, {name: "wide+qgram"}}
+		for i := range arms {
+			switch arms[i].name {
+			case "off":
+				d.DisablePrefilter()
+			case "scalar":
+				d.EnablePrefilter()
+			default:
+				d.EnablePrefilterWide()
+			}
+			c.ResetStats()
+			r := &core.Result{}
+			d.MatchInto(c, text, r)
+			arms[i].pat = append([]int32(nil), r.Pat...)
+			arms[i].work, arms[i].depth = c.Work(), c.Depth()
+			r.Release()
+		}
+		for _, arm := range arms[1:] {
+			if arm.work != arms[0].work || arm.depth != arms[0].depth {
+				t.Fatalf("%s cascade changed counted cost: work %d depth %d vs %d and %d",
+					arm.name, arm.work, arm.depth, arms[0].work, arms[0].depth)
+			}
+			for j := range arms[0].pat {
+				if arm.pat[j] != arms[0].pat[j] {
+					t.Fatalf("%s cascade diverges at %d: pattern %d vs %d (σ=%d)",
+						arm.name, j, arm.pat[j], arms[0].pat[j], sigma)
+				}
+			}
+		}
+	})
+}

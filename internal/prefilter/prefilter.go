@@ -51,6 +51,10 @@ type Filter struct {
 	// argument.
 	wideTab  [wideWindow][256]uint8
 	wideWild [wideWindow]uint8
+
+	// qg is the exact q-gram prefix screen RefineWords applies to the wide
+	// kernel's survivors (see qgram.go).
+	qg qgram
 }
 
 // Build constructs the filter for the encoded patterns. It returns nil when
@@ -140,6 +144,7 @@ func Build(patterns [][]int32) *Filter {
 		f.constrained = append(f.constrained, s.o)
 	}
 	f.buildWide(patterns)
+	f.buildQGram(patterns)
 	return f
 }
 

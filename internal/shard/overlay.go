@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"pardict/internal/pram"
+	"pardict/internal/prefilter"
 )
 
 // The write overlay of a snapshot generation: pending inserts screened by a
@@ -21,30 +22,13 @@ import (
 // live pending insert, plus the candidates whose fingerprint it verifies,
 // however many inserts are pending.
 
-// Length classes of pending inserts: lengths 1, 2–3, 4–7 and ≥ 8. Each class
-// fingerprints the first ovKeyLen[k] symbols (its minimum length) of a
-// pattern and, at scan time, the same number of text symbols at a position.
-const ovClasses = 4
-
-var ovKeyLen = [ovClasses]int{1, 2, 4, 8}
-
-func ovClassOf(n int) int {
-	switch {
-	case n >= 8:
-		return 3
-	case n >= 4:
-		return 2
-	case n >= 2:
-		return 1
-	}
-	return 0
-}
-
-// Fingerprint parameters. ovRadix is the Karp–Rabin radix (arithmetic mod
-// 2^64; collisions only cost a verification), ovMixer spreads a fingerprint
-// over the bucket and filter bits, and ovSalt separates the classes.
+// Pending inserts fall into the prefilter's length classes (1, 2–3, 4–7 and
+// ≥ 8 symbols) and share its Karp–Rabin fingerprint: class k fingerprints
+// the first prefilter.KeyLen[k] symbols of a pattern and, at scan time, the
+// same number of text symbols at a position. Collisions only cost a
+// verification. ovMixer spreads a fingerprint over the bucket and filter
+// bits, and ovSalt separates the classes.
 const (
-	ovRadix = 0x9E3779B97F4A7C15
 	ovMixer = 0xBF58476D1CE4E5B9
 	ovSalt  = 0x632BE59BD9B4E019
 
@@ -65,24 +49,24 @@ const (
 // only words written after publication, hence atomic; a reader stops a chain at the first entry at or past its snapshot's
 // len(adds) (chains run in arrival order).
 type ovIndex struct {
-	kb, mix uint64            // radix and mixer (a Set's, so tests can force collisions)
-	pow     [ovClasses]uint64 // kb^(ovKeyLen[k]-1): the rolling hash's outgoing weight
-	bits    uint              // log2 of the bucket count
-	head    []atomic.Int32    // bucket → first entry, -1 when empty
-	next    []atomic.Int32    // entry → next entry of its bucket, -1 at the end
-	keyh    []uint64          // entry → fingerprint of its key
-	filter  []atomic.Uint64   // 1 << ovFilterShift bits per bucket
-	tail    []int32           // bucket → last entry (writer only)
+	kr     prefilter.KR    // fingerprint (a Set's radix, so tests can force collisions)
+	mix    uint64          // mixer (a Set's, for the same reason)
+	bits   uint            // log2 of the bucket count
+	head   []atomic.Int32  // bucket → first entry, -1 when empty
+	next   []atomic.Int32  // entry → next entry of its bucket, -1 at the end
+	keyh   []uint64        // entry → fingerprint of its key
+	filter []atomic.Uint64 // 1 << ovFilterShift bits per bucket
+	tail   []int32         // bucket → last entry (writer only)
 }
 
-func newOvIndex(capacity int, kb, mix uint64) *ovIndex {
+func newOvIndex(capacity int, radix, mix uint64) *ovIndex {
 	bits := uint(6)
 	for 1<<bits < capacity {
 		bits++
 	}
 	n := 1 << bits
 	ix := &ovIndex{
-		kb: kb, mix: mix, bits: bits,
+		kr: prefilter.NewKR(radix), mix: mix, bits: bits,
 		head:   make([]atomic.Int32, n),
 		next:   make([]atomic.Int32, n),
 		keyh:   make([]uint64, n),
@@ -93,27 +77,7 @@ func newOvIndex(capacity int, kb, mix uint64) *ovIndex {
 		ix.head[i].Store(-1)
 		ix.tail[i] = -1
 	}
-	for k, L := range ovKeyLen {
-		ix.pow[k] = 1
-		for i := 1; i < L; i++ {
-			ix.pow[k] *= kb
-		}
-	}
 	return ix
-}
-
-// hash is the Karp–Rabin fingerprint of s: Σ s[i]·kb^(len(s)-1-i) mod 2^64.
-func (ix *ovIndex) hash(s []int32) uint64 {
-	var h uint64
-	for _, x := range s {
-		h = h*ix.kb + uint64(x)
-	}
-	return h
-}
-
-// roll slides class k's fingerprint one symbol right: out leaves, in enters.
-func (ix *ovIndex) roll(h uint64, k int, out, in int32) uint64 {
-	return (h-uint64(out)*ix.pow[k])*ix.kb + uint64(in)
 }
 
 // slot maps a class-k fingerprint to its filter bit; the bucket is the slot's
@@ -125,8 +89,8 @@ func (ix *ovIndex) slot(h uint64, k int) uint64 {
 // add indexes entry e (the pattern p, not yet visible to any reader).
 // Writer only.
 func (ix *ovIndex) add(e int32, p []int32) {
-	k := ovClassOf(len(p))
-	h := ix.hash(p[:ovKeyLen[k]])
+	k := prefilter.ClassOf(len(p))
+	h := ix.kr.Hash(p[:prefilter.KeyLen[k]])
 	f := ix.slot(h, k)
 	b := f >> ovFilterShift
 	ix.keyh[e] = h
@@ -214,7 +178,7 @@ func (s *Shard) stageInsert(ns *snapshot, e Entry) {
 		ns.ov = ix
 	}
 	ns.ov.add(i, e.Enc)
-	ns.ovLive[ovClassOf(len(e.Enc))]++
+	ns.ovLive[prefilter.ClassOf(len(e.Enc))]++
 	s.addIdx[string(e.Raw)] = i
 	ns.pendOps++
 	ns.pendBytes += len(e.Enc)
@@ -227,7 +191,7 @@ func (s *Shard) stageDelete(ns *snapshot, key string, size int) {
 	if ai, ok := s.addIdx[key]; ok {
 		delete(s.addIdx, key)
 		ns.delAdds = ns.delAdds.with(ai)
-		ns.ovLive[ovClassOf(size)]--
+		ns.ovLive[prefilter.ClassOf(size)]--
 	} else if bi, ok := s.baseIdx[key]; ok && !ns.delBase.has(bi) {
 		ns.delBase = ns.delBase.with(bi)
 	}
@@ -242,9 +206,9 @@ func (s *Shard) stageDelete(ns *snapshot, key string, size int) {
 // (position, probed class) plus one per verified candidate, in one phase.
 func overlayPass(c *pram.Ctx, sn *snapshot, enc []int32, h *shardHit) {
 	ix, n, limit := sn.ov, len(enc), int32(len(sn.adds))
-	var act [ovClasses]int // classes holding a live insert
+	var act [prefilter.Classes]int // classes holding a live insert
 	na := 0
-	for k := ovClasses - 1; k >= 0; k-- {
+	for k := prefilter.Classes - 1; k >= 0; k-- {
 		if sn.ovLive[k] > 0 {
 			act[na] = k
 			na++
@@ -253,13 +217,13 @@ func overlayPass(c *pram.Ctx, sn *snapshot, enc []int32, h *shardHit) {
 	c.ForChunk(n, func(lo, hi int) {
 		var np, ns, nv int64
 		for _, k := range act[:na] {
-			L := ovKeyLen[k]
+			L := prefilter.KeyLen[k]
 			end := min(hi, n-L+1) // positions where a class-k key fits
 			if lo >= end {
 				continue
 			}
 			np += int64(end - lo)
-			hk := ix.hash(enc[lo : lo+L])
+			hk := ix.kr.Hash(enc[lo : lo+L])
 			for j := lo; j < end; j++ {
 				if e := ix.first(ix.slot(hk, k)); e >= 0 {
 					ns++
@@ -276,7 +240,7 @@ func overlayPass(c *pram.Ctx, sn *snapshot, enc []int32, h *shardHit) {
 					}
 				}
 				if j+L < n {
-					hk = ix.roll(hk, k, enc[j], enc[j+L])
+					hk = ix.kr.Roll(hk, k, enc[j], enc[j+L])
 				}
 			}
 		}
@@ -292,15 +256,15 @@ func overlayPass(c *pram.Ctx, sn *snapshot, enc []int32, h *shardHit) {
 // overlayAllAt appends every live pending insert of sn matching enc at j.
 func overlayAllAt(sn *snapshot, enc []int32, j int, dst []Hit) []Hit {
 	n, limit := len(enc), int32(len(sn.adds))
-	for k := ovClasses - 1; k >= 0; k-- {
-		L := ovKeyLen[k]
+	for k := prefilter.Classes - 1; k >= 0; k-- {
+		L := prefilter.KeyLen[k]
 		if sn.ovLive[k] == 0 || j+L > n {
 			continue
 		}
-		hk := sn.ov.hash(enc[j : j+L])
+		hk := sn.ov.kr.Hash(enc[j : j+L])
 		for e := sn.ov.first(sn.ov.slot(hk, k)); e >= 0 && e < limit; e = sn.ov.after(e) {
 			a := sn.adds[e]
-			if sn.ov.keyh[e] == hk && ovClassOf(len(a.Enc)) == k && j+len(a.Enc) <= n &&
+			if sn.ov.keyh[e] == hk && prefilter.ClassOf(len(a.Enc)) == k && j+len(a.Enc) <= n &&
 				!sn.delAdds.has(e) && symEqual(enc[j:j+len(a.Enc)], a.Enc) {
 				dst = append(dst, Hit{ID: a.ID, Raw: a.Raw, Len: int32(len(a.Enc))})
 			}

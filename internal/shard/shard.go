@@ -36,6 +36,7 @@ import (
 	"pardict/internal/core"
 	"pardict/internal/obs"
 	"pardict/internal/pram"
+	"pardict/internal/prefilter"
 )
 
 // Errors returned by dictionary mutations.
@@ -132,10 +133,10 @@ type snapshot struct {
 	baseLen []int32    // encoded length per base entry (shared across derived snapshots)
 	delBase tombs      // base indices pending deletion
 
-	adds    []Entry          // pending inserts, arrival order, append-only per generation
-	delAdds tombs            // indices into adds deleted since
-	ov      *ovIndex         // fingerprint index over adds (nil: none yet)
-	ovLive  [ovClasses]int32 // live adds per length class
+	adds    []Entry                  // pending inserts, arrival order, append-only per generation
+	delAdds tombs                    // indices into adds deleted since
+	ov      *ovIndex                 // fingerprint index over adds (nil: none yet)
+	ovLive  [prefilter.Classes]int32 // live adds per length class
 
 	pendOps   int // log records since base was compiled
 	pendBytes int // Σ encoded length over those records
@@ -273,7 +274,7 @@ func New(nShards int, newCtx func() *pram.Ctx) *Set {
 		rebuildCh:       make(chan *Shard, 256),
 		quit:            make(chan struct{}),
 		minPendingBytes: defaultMinPendingBytes,
-		ovRadix:         ovRadix,
+		ovRadix:         prefilter.KRRadix,
 		ovMixer:         ovMixer,
 		screen:          (*core.Dict).EnablePrefilterWide,
 	}

@@ -89,22 +89,23 @@ type PrefilterMode int
 const (
 	// PrefilterOff (the default) never filters; PrefixLen stays available.
 	PrefilterOff PrefilterMode = iota
-	// PrefilterOn always filters on the general engine, using the wide-lane
-	// kernel (eight text positions screened per step against an 8-bucket
-	// Teddy-style prefix screen packed into uint64 byte lanes — the
-	// production screen).
+	// PrefilterOn always filters on the general engine with the two-stage
+	// production screen: the wide-lane kernel (eight text positions screened
+	// per step against an 8-bucket Teddy-style prefix screen packed into
+	// uint64 byte lanes), whose survivors an exact Karp–Rabin q-gram screen
+	// over the patterns' first 1, 2, 4 or 8 symbols then refines.
 	PrefilterOn
-	// PrefilterAuto filters only when the built filter looks selective
-	// (estimated pass rate on random text below 25%, judged on the wide
-	// screen's bucket tables).
+	// PrefilterAuto installs the PrefilterOn screen only when it looks
+	// selective: its estimated pass rate on random bytes, the smaller of the
+	// wide tables' and the q-gram stage's estimates, is below 25%.
 	PrefilterAuto
 	// PrefilterScalar always filters with the scalar SWAR screen (one
-	// position per step against full 64-bit rare-offset bucket masks). The
-	// two screens bucket patterns differently, so neither admits a subset
-	// of the other; the scalar screen is retained as the differential
-	// oracle the wide kernel is tested against, and as the conservative
-	// choice for pattern sets whose prefixes collide badly under the wide
-	// screen's 8-bucket hashing.
+	// position per step against full 64-bit rare-offset bucket masks), with
+	// no q-gram stage. The scalar and wide screens bucket patterns
+	// differently, so neither admits a subset of the other; the scalar
+	// screen is retained as the differential oracle the two-stage screen is
+	// tested against, and as the conservative choice for pattern sets whose
+	// prefixes collide badly under the wide screen's 8-bucket hashing.
 	PrefilterScalar
 )
 

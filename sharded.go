@@ -72,9 +72,10 @@ type ShardedMatcher struct {
 // Reload, or ReloadSaved. Call Close when done to stop the background
 // reconciler.
 //
-// Every shard base is screened by the wide prefilter (PrefilterOn); a
-// ShardedMatcher exposes no prefix lengths, so the screen costs it nothing
-// but the filter build, and it ignores WithPrefilter.
+// Every shard base is screened by the two-stage prefilter of PrefilterOn
+// (the wide kernel refined by the q-gram screen); a ShardedMatcher exposes
+// no prefix lengths, so the screen costs it nothing but the filter build,
+// and it ignores WithPrefilter.
 func NewShardedMatcher(opts ...Option) (*ShardedMatcher, error) {
 	cfg := buildConfig(opts)
 	enc, err := cfg.encoder()
